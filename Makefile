@@ -44,11 +44,15 @@ vet:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
-	# Epoch-parallel twin tests under both extremes of scheduler
-	# pressure: one P serializes the shards (interleaving bugs hide
-	# here), eight Ps maximizes true parallelism on small runners.
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestEpoch|TestConcurrencyFromContext|TestEffectiveShards|TestShardsCanonicalErased' ./internal/sim
-	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestEpoch|TestConcurrencyFromContext|TestEffectiveShards|TestShardsCanonicalErased' ./internal/sim
+	# Epoch-parallel and front-memoization twin tests, and the sweep
+	# engine's memoized grouping, under both extremes of scheduler
+	# pressure: one P serializes the shards and group jobs
+	# (interleaving bugs hide here), eight Ps maximizes true
+	# parallelism on small runners.
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestEpoch|TestConcurrencyFromContext|TestEffectiveShards|TestShardsCanonicalErased|TestMemo' ./internal/sim
+	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestEpoch|TestConcurrencyFromContext|TestEffectiveShards|TestShardsCanonicalErased|TestMemo' ./internal/sim
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestMemo|TestEngine' ./internal/sweep
+	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestMemo|TestEngine' ./internal/sweep
 
 # Ten seconds of coverage-guided fuzzing per decoder that parses
 # untrusted bytes: the trace readers (legacy and streaming), the

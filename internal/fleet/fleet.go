@@ -177,6 +177,8 @@ func (r *runState) deliver(pr sweep.PointResult) {
 	r.res.Done++
 	if pr.Cached {
 		r.res.Deduped++
+	} else {
+		r.res.Fronts++ // fleet points always run fused
 	}
 	if r.onPoint != nil {
 		r.onPoint(pr)

@@ -20,6 +20,10 @@ type PoolRunner struct {
 	Pool *jobs.Pool
 	// WorkerName is the attribution name (default "local").
 	WorkerName string
+	// OnRun, when set, observes every point this runner simulates,
+	// with the simulation's wall time, from inside the pool job. The
+	// daemon accounts simulated instructions and phase timings here.
+	OnRun func(res *sim.Result, busy time.Duration)
 }
 
 // Name identifies the local worker in attribution and metrics.
@@ -40,7 +44,12 @@ func (r *PoolRunner) Run(ctx context.Context, p sweep.Point, timeout time.Durati
 		if err != nil {
 			return nil, err
 		}
-		return sim.RunContext(jctx, cfg)
+		t0 := time.Now()
+		res, err := sim.RunContext(jctx, cfg)
+		if err == nil && r.OnRun != nil {
+			r.OnRun(res, time.Since(t0))
+		}
+		return res, err
 	}, timeout)
 	if err != nil {
 		return nil, err

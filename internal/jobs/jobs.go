@@ -560,6 +560,9 @@ func (p *Pool) finishLocked(j *job, state State, result any, err error) {
 	j.snap.State = state
 	j.snap.Finished = time.Now()
 	j.snap.Result = result
+	// A finished job never runs again: drop its function so the pool's
+	// job table does not pin what the closure captured.
+	j.fn = nil
 	if err != nil {
 		j.snap.Err = err.Error()
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -489,5 +490,32 @@ func TestWithContextWrap(t *testing.T) {
 	}
 	if out != 42 {
 		t.Fatalf("job context value = %v, want 42 (wrap not applied)", out)
+	}
+}
+
+// TestFinishedJobReleasesClosure checks that the pool's job table
+// does not pin what a finished job's function captured: the sweep
+// engine hands each shared front log to its back jobs by closure and
+// relies on the log being freed once they finish.
+func TestFinishedJobReleasesClosure(t *testing.T) {
+	p := New(1, 4)
+	defer p.Shutdown(context.Background())
+	var freed atomic.Bool
+	func() {
+		payload := new([1 << 16]byte)
+		runtime.SetFinalizer(payload, func(*[1 << 16]byte) { freed.Store(true) })
+		if _, err := p.Run(context.Background(), func(context.Context) (any, error) {
+			return int(payload[0]), nil
+		}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for !freed.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("finished job still pins its closure's captures")
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -123,9 +123,26 @@ func PointKeyFor(cfg sim.Config, policy, partition string) (Key, error) {
 	return Key(hex.EncodeToString(h.Sum(nil))), nil
 }
 
-// hashConfig writes every canonicalized field. Keep this in lockstep
-// with sim.Config: a new field must be hashed here or identical keys
-// could map to different simulations.
+// FrontKeyFor computes the content address of cfg's front half (see
+// sim.RunFront): the canonical config with every back-end field
+// cleared by sim.Config.FrontConfig, hashed like KeyFor under its own
+// kind tag. Configs with equal front keys can share one recorded
+// front; a field FrontConfig does not clear splits them.
+func FrontKeyFor(cfg sim.Config) (Key, error) {
+	c, err := cfg.Canonical()
+	if err != nil {
+		return "", err
+	}
+	h := sha256.New()
+	hashString(h, "kind", "front")
+	hashConfig(h, c.FrontConfig())
+	return Key(hex.EncodeToString(h.Sum(nil))), nil
+}
+
+// hashConfig writes every canonicalized field.
+// TestKeyCoversEveryConfigField fails when a sim.Config field that
+// Canonical keeps does not reach the hash, or is not classified as
+// front- or back-end.
 func hashConfig(h hash.Hash, c sim.Config) {
 	hashString(h, "bench", c.Benchmark)
 	hashField(h, "instr", c.Instructions)

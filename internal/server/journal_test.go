@@ -56,13 +56,14 @@ func newJournalServer(t *testing.T, dir string, workers int) (*Server, *httptest
 }
 
 // sanitizeResult strips the run-dependent fields (wall time, worker
-// attribution, cache provenance, phase timing) so two runs of the same
-// sweep can be compared byte for byte.
+// attribution, cache provenance and front counts, phase timing) so two
+// runs of the same sweep can be compared byte for byte.
 func sanitizeResult(t *testing.T, res *sweep.Result) []byte {
 	t.Helper()
 	cp := *res
 	cp.Wall = 0
 	cp.Deduped = 0
+	cp.Fronts = 0
 	cp.Points = append([]sweep.PointResult(nil), res.Points...)
 	for i := range cp.Points {
 		cp.Points[i].Worker = ""

@@ -631,8 +631,7 @@ func (s *Server) runFn(cfg sim.Config, policy, partition string, key results.Key
 		if err != nil {
 			return nil, err
 		}
-		s.account(res.Instructions, time.Since(t0))
-		s.recordTiming(res.Timing)
+		s.accountRun(res, time.Since(t0))
 		s.store.Put(key, res)
 		return res, nil
 	}
@@ -671,6 +670,14 @@ func (s *Server) recordTiming(t sim.PhaseTiming) {
 	s.phaseSecs["measure"] += t.Measure.Seconds()
 	s.phaseRuns++
 	s.phaseMu.Unlock()
+}
+
+// accountRun records one simulated run — a /v1/jobs run or a sweep
+// point on this daemon's pool — in the throughput counters and the
+// per-phase timings.
+func (s *Server) accountRun(res *sim.Result, busy time.Duration) {
+	s.account(res.Instructions, busy)
+	s.recordTiming(res.Timing)
 }
 
 func (s *Server) account(instructions uint64, busy time.Duration) {

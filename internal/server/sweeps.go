@@ -257,7 +257,7 @@ func (s *Server) startSweep(ctx context.Context, cancel context.CancelFunc, j *s
 	}
 	workers := make([]fleet.Worker, 0, len(s.fleetWorkers)+1)
 	workers = append(workers, fleet.Worker{
-		Runner:      &fleet.PoolRunner{Pool: s.pool},
+		Runner:      &fleet.PoolRunner{Pool: s.pool, OnRun: s.accountRun},
 		MaxInflight: parallelism,
 	})
 	workers = append(workers, s.fleetWorkers...)

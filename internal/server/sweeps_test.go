@@ -227,3 +227,50 @@ func TestSweepNotFound(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepPointsAccounted is the regression test for the sweep
+// accounting gap: a daemon that only ever ran sweeps used to report 0
+// simulated instructions and no phase timings, because only /v1/jobs
+// runs were accounted. Every point this daemon simulates must now
+// count — and points served from the store must not.
+func TestSweepPointsAccounted(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 16, CacheEntries: 64})
+	var want, simulated uint64
+	for round := 0; round < 2; round++ { // the second round is all store hits
+		st, resp := postSweep(t, ts, sweepBody)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: %d", resp.StatusCode)
+		}
+		st = waitSweepDone(t, ts, st.ID)
+		if st.State != jobs.StateDone {
+			t.Fatalf("sweep: %+v", st)
+		}
+		var res sweep.Result
+		getJSON(t, ts, "/v1/sweeps/"+st.ID+"/result", &res)
+		for _, p := range res.Points {
+			if !p.Cached {
+				want += p.Result.Instructions
+				simulated++
+			}
+		}
+	}
+	if simulated != 4 || want == 0 {
+		t.Fatalf("simulated %d points (%d instructions), want 4 fresh points", simulated, want)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	metrics := buf.String()
+	for _, line := range []string{
+		fmt.Sprintf("mapsd_simulated_instructions_total %d", want),
+		fmt.Sprintf("mapsd_sim_phase_runs_total %d", simulated),
+	} {
+		if !strings.Contains(metrics, line+"\n") {
+			t.Errorf("/metrics missing %q", line)
+		}
+	}
+}

@@ -289,6 +289,93 @@ const (
 	evWB                // writebacks without a read (dirty evict under a hit)
 )
 
+// frontLog is an event log under construction: the recorded events,
+// the writeback addresses they issue (flattened, in stream order),
+// and the cycle and instruction weight accumulated since the last
+// event.
+type frontLog struct {
+	events     []event
+	wbs        []uint64
+	pendCycles uint64
+	pendInstr  uint64
+}
+
+// flush records the pending weight as an evNull event, so the log can
+// be cut here (a checkpoint, a statistics reset) without weight
+// crossing the cut.
+func (l *frontLog) flush() {
+	if l.pendCycles != 0 || l.pendInstr != 0 {
+		l.events = append(l.events, event{pre: l.pendCycles, instr: uint32(l.pendInstr), kind: evNull})
+		l.pendCycles, l.pendInstr = 0, 0
+	}
+}
+
+// access is the front's per-access step: it runs one generator access
+// through the cache hierarchy, charges its base-CPI and L2/L3 hit
+// cycles to the pending weight, and logs any memory work it causes.
+func (pr *parRun) access(l *frontLog, hier *hierarchy.Hierarchy, acc *workload.Access) {
+	gap := uint64(acc.Gap)
+	l.pendInstr += gap
+	if l.pendInstr >= 1<<31 {
+		l.flush() // keep instr within its uint32
+	}
+	if pr.unitCPI {
+		l.pendCycles += gap
+	} else {
+		l.pendCycles += uint64(float64(gap) * pr.baseCPI)
+	}
+	o := hier.Access(acc.Addr, acc.Write)
+	switch o.Hit {
+	case hierarchy.L2:
+		l.pendCycles += pr.l2Lat
+	case hierarchy.L3:
+		l.pendCycles += pr.l3Lat
+	case hierarchy.Memory:
+		l.pendCycles += pr.l3Lat
+		l.events = append(l.events, event{
+			pre: l.pendCycles, addr: acc.Addr,
+			instr: uint32(l.pendInstr), nWB: uint16(len(o.Writebacks)), kind: evRead,
+		})
+		l.pendCycles, l.pendInstr = 0, 0
+		l.wbs = append(l.wbs, o.Writebacks...)
+		return
+	}
+	if len(o.Writebacks) > 0 {
+		// A hit can still evict dirty blocks from the LLC (the insert
+		// cascade below the hit level).
+		l.events = append(l.events, event{
+			pre: l.pendCycles, instr: uint32(l.pendInstr),
+			nWB: uint16(len(o.Writebacks)), kind: evWB,
+		})
+		l.pendCycles, l.pendInstr = 0, 0
+		l.wbs = append(l.wbs, o.Writebacks...)
+	}
+}
+
+// replay is the back's per-event step: it advances the clock by the
+// event's front weight, then issues the event's memory work — the
+// miss read and its writebacks wbs — through the secure engine, or
+// straight to DRAM when eng is nil (an insecure run). It returns the
+// advanced cycle count.
+func replay(eng *engine.Engine, mem *dram.Memory, cycles uint64, e *event, wbs []uint64) uint64 {
+	cycles += e.pre
+	if e.kind == evRead {
+		if eng != nil {
+			cycles += eng.Read(cycles, e.addr)
+		} else {
+			cycles += mem.Access(cycles, memlayout.BlockOf(e.addr), false)
+		}
+	}
+	for _, wb := range wbs {
+		if eng != nil {
+			eng.Writeback(cycles, wb)
+		} else {
+			mem.Access(cycles, wb, true)
+		}
+	}
+	return cycles
+}
+
 // Checkpoint spacing doubles from these bases: dense early — where a
 // cold speculative start is most likely to have just converged — and
 // sparse late, so checkpoint overhead stays logarithmic.
@@ -309,8 +396,7 @@ type frontCkpt struct {
 }
 
 type frontOut struct {
-	events      []event
-	wbs         []uint64 // flattened writeback addresses, in stream order
+	frontLog
 	ckpts       []frontCkpt
 	stats       [3]cache.Stats // cumulative at end (or at the match point)
 	instrs      uint64
@@ -341,59 +427,17 @@ type parRun struct {
 func (pr *parRun) runFront(ctx context.Context, gen workload.Generator, hier *hierarchy.Hierarchy, accesses uint64, spec []frontCkpt) (*frontOut, error) {
 	out := &frontOut{converged: -1}
 	var (
-		acc        workload.Access
-		pendCycles uint64
-		pendInstr  uint64
-		nextCk     = uint64(frontCkptBase)
-		specIdx    int
+		acc     workload.Access
+		nextCk  = uint64(frontCkptBase)
+		specIdx int
 	)
-	flush := func() {
-		if pendCycles != 0 || pendInstr != 0 {
-			out.events = append(out.events, event{pre: pendCycles, instr: uint32(pendInstr), kind: evNull})
-			pendCycles, pendInstr = 0, 0
-		}
-	}
 	snapStats := func() [3]cache.Stats {
 		return [3]cache.Stats{hier.L1Stats(), hier.L2Stats(), hier.L3Stats()}
 	}
 	for a := uint64(0); a < accesses; a++ {
 		gen.Next(&acc)
-		gap := uint64(acc.Gap)
-		out.instrs += gap
-		pendInstr += gap
-		if pendInstr >= 1<<31 {
-			flush() // keep instr within its uint32
-		}
-		if pr.unitCPI {
-			pendCycles += gap
-		} else {
-			pendCycles += uint64(float64(gap) * pr.baseCPI)
-		}
-		o := hier.Access(acc.Addr, acc.Write)
-		switch o.Hit {
-		case hierarchy.L2:
-			pendCycles += pr.l2Lat
-		case hierarchy.L3:
-			pendCycles += pr.l3Lat
-		case hierarchy.Memory:
-			pendCycles += pr.l3Lat
-			out.events = append(out.events, event{
-				pre: pendCycles, addr: acc.Addr,
-				instr: uint32(pendInstr), nWB: uint16(len(o.Writebacks)), kind: evRead,
-			})
-			pendCycles, pendInstr = 0, 0
-			out.wbs = append(out.wbs, o.Writebacks...)
-		}
-		if o.Hit != hierarchy.Memory && len(o.Writebacks) > 0 {
-			// A hit can still evict dirty blocks from the LLC (the
-			// insert cascade below the hit level).
-			out.events = append(out.events, event{
-				pre: pendCycles, instr: uint32(pendInstr),
-				nWB: uint16(len(o.Writebacks)), kind: evWB,
-			})
-			pendCycles, pendInstr = 0, 0
-			out.wbs = append(out.wbs, o.Writebacks...)
-		}
+		out.instrs += uint64(acc.Gap)
+		pr.access(&out.frontLog, hier, &acc)
 		if a&0x3FFF == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -402,7 +446,7 @@ func (pr *parRun) runFront(ctx context.Context, gen workload.Generator, hier *hi
 		done := a + 1
 		if spec == nil {
 			if done == nextCk && done < accesses {
-				flush()
+				out.flush()
 				out.ckpts = append(out.ckpts, frontCkpt{
 					access: done, fp: hier.Fingerprint(),
 					nEvents: len(out.events), nWBs: len(out.wbs),
@@ -411,7 +455,7 @@ func (pr *parRun) runFront(ctx context.Context, gen workload.Generator, hier *hi
 				nextCk *= 2
 			}
 		} else if specIdx < len(spec) && done == spec[specIdx].access {
-			flush()
+			out.flush()
 			if hier.Fingerprint() == spec[specIdx].fp {
 				out.converged = specIdx
 				out.stats = snapStats()
@@ -421,7 +465,7 @@ func (pr *parRun) runFront(ctx context.Context, gen workload.Generator, hier *hi
 			specIdx++
 		}
 	}
-	flush()
+	out.flush()
 	out.stats = snapStats()
 	out.endHier = hier
 	out.ranAccesses = accesses
@@ -436,8 +480,10 @@ func (pr *parRun) runFront(ctx context.Context, gen workload.Generator, hier *hi
 func spliceFront(spec, rep *frontOut) *frontOut {
 	ck := spec.ckpts[rep.converged]
 	out := &frontOut{
-		events:  append(rep.events, spec.events[ck.nEvents:]...),
-		wbs:     append(rep.wbs, spec.wbs[ck.nWBs:]...),
+		frontLog: frontLog{
+			events: append(rep.events, spec.events[ck.nEvents:]...),
+			wbs:    append(rep.wbs, spec.wbs[ck.nWBs:]...),
+		},
 		instrs:  spec.instrs, // the generator is exact in both runs
 		endHier: spec.endHier,
 	}
@@ -606,7 +652,6 @@ func (pr *parRun) runBack(ctx context.Context, st backStart, ep *frontOut, spec 
 	)
 	for ei := range ep.events {
 		e := &ep.events[ei]
-		cycles += e.pre
 		sinceCheck += uint64(e.instr)
 		if sinceCheck >= cancelCheckInterval {
 			sinceCheck = 0
@@ -617,22 +662,9 @@ func (pr *parRun) runBack(ctx context.Context, st backStart, ep *frontOut, spec 
 				return nil, err
 			}
 		}
-		if e.kind == evRead {
-			if pr.secure {
-				cycles += eng.Read(cycles, e.addr)
-			} else {
-				cycles += st.mem.Access(cycles, memlayout.BlockOf(e.addr), false)
-			}
-		}
-		for k := 0; k < int(e.nWB); k++ {
-			wb := ep.wbs[wbIdx]
-			wbIdx++
-			if pr.secure {
-				eng.Writeback(cycles, wb)
-			} else {
-				st.mem.Access(cycles, wb, true)
-			}
-		}
+		n := int(e.nWB)
+		cycles = replay(eng, st.mem, cycles, e, ep.wbs[wbIdx:wbIdx+n])
+		wbIdx += n
 		done := ei + 1
 		if spec == nil {
 			if done == nextCk && done < len(ep.events) {

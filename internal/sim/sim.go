@@ -489,28 +489,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		sinceCheck = 0
 	}
 
-	t := runTotals{
-		measured:  measured,
-		cycles:    cycles,
-		hier:      [3]cache.Stats{hier.L1Stats(), hier.L2Stats(), hier.L3Stats()},
-		dramStats: mem.Stats(),
-		secure:    eng != nil,
-		hasMeta:   meta != nil,
-	}
-	if eng != nil {
-		t.engStats = eng.Stats()
-	}
-	if meta != nil {
-		t.metaSize = meta.Size()
-		t.metaTotal = meta.TotalStats()
-		for _, k := range memlayout.MetaKinds {
-			t.metaKind[k] = meta.KindStats(k)
-		}
-		for level := 0; level < 16; level++ {
-			t.metaLevel[level] = meta.LevelStats(level)
-		}
-	}
-	res := buildResult(cfg, t)
+	hierStats := [3]cache.Stats{hier.L1Stats(), hier.L2Stats(), hier.L3Stats()}
+	res := buildResult(cfg, collectTotals(measured, cycles, hierStats, mem, eng, meta))
 	res.Timing = PhaseTiming{
 		Setup:   setupTime,
 		Warmup:  warmupTime,
@@ -543,6 +523,34 @@ type runTotals struct {
 	metaTotal metacache.KindStats
 	metaKind  [4]metacache.KindStats
 	metaLevel [16]metacache.KindStats
+}
+
+// collectTotals reads a finished sequential run's totals off its
+// models; eng and meta are nil when the run had none.
+func collectTotals(measured, cycles uint64, hier [3]cache.Stats, mem *dram.Memory,
+	eng *engine.Engine, meta *metacache.MetaCache) runTotals {
+	t := runTotals{
+		measured:  measured,
+		cycles:    cycles,
+		hier:      hier,
+		dramStats: mem.Stats(),
+		secure:    eng != nil,
+		hasMeta:   meta != nil,
+	}
+	if eng != nil {
+		t.engStats = eng.Stats()
+	}
+	if meta != nil {
+		t.metaSize = meta.Size()
+		t.metaTotal = meta.TotalStats()
+		for _, k := range memlayout.MetaKinds {
+			t.metaKind[k] = meta.KindStats(k)
+		}
+		for level := 0; level < 16; level++ {
+			t.metaLevel[level] = meta.LevelStats(level)
+		}
+	}
+	return t
 }
 
 // buildResult assembles the reported Result (everything except

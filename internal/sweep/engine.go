@@ -81,6 +81,14 @@ type Engine struct {
 // returned alone — victims of the cancellation never mask it. The
 // returned Result orders points exactly as Expand did, whatever order
 // they completed in.
+//
+// Uncached points that differ only in back-end fields (metadata
+// cache, secure engine, DRAM; see sim.Config.FrontConfig) share one
+// front: the group's generator and hierarchy run once as a pool job
+// (sim.RunFront), then every point's back replays the recorded log as
+// its own pool job (sim.RunBack). A point with no such sibling runs
+// fused (sim.RunContext). At most Parallelism front logs are alive at
+// once; each is released when its group's last back finishes.
 func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
 	points, err := spec.Expand()
 	if err != nil {
@@ -98,14 +106,15 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	sem := make(chan struct{}, parallelism)
+	sem := make(chan struct{}, parallelism)    // in-flight pool jobs
+	fronts := make(chan struct{}, parallelism) // live front logs
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
-	fail := func(err error) {
+	fail := func(p Point, err error) {
 		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+		if firstErr == nil && ctx.Err() == nil { // victims never mask the cause
+			firstErr = fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err)
 		}
 		mu.Unlock()
 		cancel() // abandon the rest of the grid
@@ -124,33 +133,88 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
 		}
 		mu.Unlock()
 	}
+	simulated := func(t task, r *sim.Result) {
+		if e.Cache != nil && t.key != "" {
+			e.Cache.Put(t.key, r)
+		}
+		deliver(PointResult{Point: t.point, Result: r})
+	}
+	countFront := func() {
+		mu.Lock()
+		res.Fronts++
+		mu.Unlock()
+	}
+	// spawn runs job on its own goroutine once an in-flight slot is
+	// free, unless a sibling has already failed.
+	spawn := func(wg *sync.WaitGroup, job func()) {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			if ctx.Err() != nil {
+				return // a sibling already failed; don't start
+			}
+			job()
+		}()
+	}
 
+	var todo []task
 	for _, p := range points {
 		key, hit := e.lookup(ctx, spec, p)
 		if hit != nil {
 			deliver(PointResult{Point: p, Result: hit, Cached: true})
 			continue
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(p Point, key results.Key) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return // a sibling already failed; don't start
-			}
-			r, err := e.runPoint(ctx, p)
-			if err != nil {
-				if ctx.Err() == nil {
-					fail(fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err))
+		todo = append(todo, task{point: p, key: key})
+	}
+	for _, group := range groupByFront(todo) {
+		if len(group) == 1 {
+			t := group[0]
+			spawn(&wg, func() {
+				r, err := e.runPoint(ctx, t.point)
+				if err != nil {
+					fail(t.point, err)
+					return
 				}
+				countFront()
+				simulated(t, r)
+			})
+			continue
+		}
+		fronts <- struct{}{}
+		wg.Add(1)
+		go func(group []task) {
+			defer wg.Done()
+			defer func() { <-fronts }()
+			var front *sim.Front
+			var steps sync.WaitGroup
+			spawn(&steps, func() {
+				f, err := e.runFront(ctx, group[0].point)
+				if err != nil {
+					fail(group[0].point, fmt.Errorf("front: %w", err))
+					return
+				}
+				countFront()
+				front = f
+			})
+			steps.Wait()
+			if front == nil {
 				return
 			}
-			if e.Cache != nil && key != "" {
-				e.Cache.Put(key, r)
+			for _, t := range group {
+				t := t
+				spawn(&steps, func() {
+					r, err := e.runBack(ctx, t.point, front)
+					if err != nil {
+						fail(t.point, err)
+						return
+					}
+					simulated(t, r)
+				})
 			}
-			deliver(PointResult{Point: p, Result: r})
-		}(p, key)
+			steps.Wait()
+		}(group)
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -162,6 +226,35 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
 	res.Wall = time.Since(start)
 	res.Aggregate()
 	return res, nil
+}
+
+// task is one point the engine must simulate, with its cache key
+// (empty when the point is uncacheable).
+type task struct {
+	point Point
+	key   results.Key
+}
+
+// groupByFront partitions tasks by front key (results.FrontKeyFor),
+// groups ordered by their first member and members in grid order. A
+// point whose front key cannot be computed stays alone.
+func groupByFront(tasks []task) [][]task {
+	var groups [][]task
+	index := make(map[results.Key]int)
+	for _, t := range tasks {
+		fk, err := results.FrontKeyFor(t.point.Config)
+		if err != nil {
+			groups = append(groups, []task{t})
+			continue
+		}
+		if i, ok := index[fk]; ok {
+			groups[i] = append(groups[i], t)
+			continue
+		}
+		index[fk] = len(groups)
+		groups = append(groups, []task{t})
+	}
+	return groups
 }
 
 // CacheNames maps a point's normalized policy/partition names to the
@@ -235,14 +328,20 @@ func Instantiate(p Point) (sim.Config, error) {
 	return cfg, nil
 }
 
-// runPoint executes one point as a pool job via Instantiate.
+// runPoint executes one point, fused, as a pool job via Instantiate.
 func (e *Engine) runPoint(ctx context.Context, p Point) (*sim.Result, error) {
+	return e.runJob(ctx, sim.RunContext, p)
+}
+
+// runJob runs one point's simulation as a pool job on its
+// Instantiated config.
+func (e *Engine) runJob(ctx context.Context, run func(context.Context, sim.Config) (*sim.Result, error), p Point) (*sim.Result, error) {
 	out, err := e.Pool.Run(ctx, func(jctx context.Context) (any, error) {
 		cfg, err := Instantiate(p)
 		if err != nil {
 			return nil, err
 		}
-		return sim.RunContext(jctx, cfg)
+		return run(jctx, cfg)
 	}, e.Timeout)
 	if err != nil {
 		return nil, err
@@ -252,6 +351,32 @@ func (e *Engine) runPoint(ctx context.Context, p Point) (*sim.Result, error) {
 		return nil, fmt.Errorf("sweep: point job returned %T, want *sim.Result", out)
 	}
 	return r, nil
+}
+
+// runFront records a group's shared front as a pool job. Only
+// front-end fields matter, so the point's config needs no
+// instantiation. The log leaves the job through a variable, not the
+// job's result: the pool keeps finished jobs' results, and a log must
+// be freed as soon as its group's last back finishes.
+func (e *Engine) runFront(ctx context.Context, p Point) (*sim.Front, error) {
+	var front *sim.Front
+	_, err := e.Pool.Run(ctx, func(jctx context.Context) (any, error) {
+		f, err := sim.RunFront(jctx, p.Config)
+		front = f
+		return nil, err
+	}, e.Timeout)
+	if err != nil {
+		return nil, err
+	}
+	return front, nil
+}
+
+// runBack replays a shared front through one point's back end as a
+// pool job via Instantiate.
+func (e *Engine) runBack(ctx context.Context, p Point, front *sim.Front) (*sim.Result, error) {
+	return e.runJob(ctx, func(jctx context.Context, cfg sim.Config) (*sim.Result, error) {
+		return sim.RunBack(jctx, cfg, front)
+	}, p)
 }
 
 // Run is the one-shot convenience: a transient pool sized to

@@ -64,6 +64,10 @@ type Result struct {
 	Total   int `json:"total"`
 	Done    int `json:"done"`
 	Deduped int `json:"deduped"`
+	// Fronts counts the front passes (workload generator + cache
+	// hierarchy) simulated: one per group of points sharing a front,
+	// one per point simulated alone.
+	Fronts int `json:"fronts"`
 	// Geomeans aggregates every swept axis (axes with a single label
 	// are skipped — their geomean is the whole sweep's).
 	Geomeans []AxisGeomean `json:"geomeans,omitempty"`
@@ -177,8 +181,8 @@ func (r *Result) variedAxes() []string {
 // falls back to a flat per-point listing.
 func (r *Result) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "sweep: %d points (%d deduped) in %s\n",
-		r.Total, r.Deduped, r.Wall.Round(time.Millisecond))
+	fmt.Fprintf(&b, "sweep: %d points (%d deduped, %d fronts) in %s\n",
+		r.Total, r.Deduped, r.Fronts, r.Wall.Round(time.Millisecond))
 	varied := r.variedAxes()
 	if len(varied) >= 2 {
 		for _, metric := range []string{"meta_mpki", "ipc"} {

@@ -109,6 +109,7 @@ func sanitizeSweep(t *testing.T, res *mapsim.SweepResult) []byte {
 	cp := *res
 	cp.Wall = 0
 	cp.Deduped = 0
+	cp.Fronts = 0
 	cp.Points = append([]sweep.PointResult(nil), res.Points...)
 	for i := range cp.Points {
 		cp.Points[i].Worker = ""
