@@ -14,7 +14,7 @@ RACE_PKGS := ./internal/server ./internal/jobs ./internal/results ./internal/sim
 
 # Hot-loop benchmarks guarded by the perf-regression gate
 # (cmd/benchcheck + BENCH_kernel.json; see docs/PERFORMANCE.md).
-BENCHES := BenchmarkAccessKernel|BenchmarkRunInsecure|BenchmarkRunSecure|BenchmarkRunSecureParallel
+BENCHES := BenchmarkAccessKernel|BenchmarkRunInsecure|BenchmarkRunSecure
 BENCH_PKG := ./internal/sim
 # Allowed fractional ns/op growth before benchcheck fails the build.
 BENCH_TOLERANCE ?= 0.10
@@ -44,13 +44,12 @@ vet:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
-	# Epoch-parallel and front-memoization twin tests, and the sweep
-	# engine's memoized grouping, under both extremes of scheduler
-	# pressure: one P serializes the shards and group jobs
-	# (interleaving bugs hide here), eight Ps maximizes true
-	# parallelism on small runners.
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestEpoch|TestConcurrencyFromContext|TestEffectiveShards|TestShardsCanonicalErased|TestMemo' ./internal/sim
-	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestEpoch|TestConcurrencyFromContext|TestEffectiveShards|TestShardsCanonicalErased|TestMemo' ./internal/sim
+	# Front-memoization twin tests and the sweep engine's memoized
+	# grouping under both extremes of scheduler pressure: one P
+	# serializes the group jobs (interleaving bugs hide here), eight
+	# Ps maximizes true parallelism on small runners.
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestMemo' ./internal/sim
+	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestMemo' ./internal/sim
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestMemo|TestEngine' ./internal/sweep
 	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestMemo|TestEngine' ./internal/sweep
 

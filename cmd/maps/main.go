@@ -65,7 +65,6 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON results instead of tables")
 	benchmarks := flag.String("benchmarks", "", "comma-separated benchmark subset")
 	parallel := flag.Int("parallel", 0, "concurrent simulations (default NumCPU)")
-	shards := flag.Int("shards", 0, "epoch shards per run: 0 sequential, N forces N epochs, -1 auto-sizes to idle CPUs")
 	logFormat := flag.String("log-format", obs.FormatText, "log output format: text or json")
 	verbose := flag.Bool("v", false, "verbose logging (Debug level) on stderr")
 	flag.Usage = usage
@@ -82,7 +81,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opt := experiments.Options{Instructions: *instructions, Parallelism: *parallel, Shards: *shards}
+	opt := experiments.Options{Instructions: *instructions, Parallelism: *parallel}
 	if *benchmarks != "" {
 		opt.Benchmarks = strings.Split(*benchmarks, ",")
 	}

@@ -29,7 +29,6 @@ func runRunCmd(args []string) int {
 	metaSize := fs.String("meta", "", "metadata-cache size (e.g. 128KB); empty = Table I default")
 	metaWays := fs.Int("ways", 0, "metadata-cache associativity (0 = default)")
 	metaContent := fs.String("content", "", "metadata-cache content policy (counters, counters+hashes, all, ...)")
-	shards := fs.Int("shards", 0, "epoch shards: 0 sequential, N forces N epochs, -1 auto-sizes to idle CPUs")
 	asJSON := fs.Bool("json", false, "emit the full Result JSON instead of a summary")
 	remote := fs.String("remote", "", "run via the mapsd daemon at this base URL instead of locally")
 	fs.Usage = func() {
@@ -43,7 +42,7 @@ per-client locality — into one deterministic access stream; traces
 replay a recorded stream in constant memory. Examples:
 
   maps run -workload-spec mixed.yaml -meta 128KB -json
-  maps run -bench canneal -shards 4
+  maps run -bench canneal -instructions 10000000
   maps run -trace web.mtrc.gz -instructions 5000000
 
 flags:
@@ -102,7 +101,7 @@ flags:
 	var res *mapsim.Result
 	var err error
 	if *remote != "" {
-		res, err = runRemoteOnce(*remote, spec, *bench, *traceFile, *instructions, *seed, *secure, *metaSize, *metaWays, *metaContent, *shards)
+		res, err = runRemoteOnce(*remote, spec, *bench, *traceFile, *instructions, *seed, *secure, *metaSize, *metaWays, *metaContent)
 	} else {
 		cfg := sim.Config{
 			Benchmark:    *bench,
@@ -112,7 +111,6 @@ flags:
 			Seed:         *seed,
 			Secure:       *secure,
 			Speculation:  *secure,
-			Shards:       *shards,
 			Meta:         meta,
 		}
 		res, err = mapsim.Run(cfg)
@@ -122,10 +120,10 @@ flags:
 		return 1
 	}
 
-	// Timing and Sharding describe how this run executed, not what it
-	// simulated; strip them so output is bit-identical across repeats
-	// and -shards values (the wall clock goes to stderr instead).
-	res.Timing, res.Sharding = sim.PhaseTiming{}, nil
+	// Timing describes how this run executed, not what it simulated;
+	// strip it so output is bit-identical across repeats (the wall
+	// clock goes to stderr instead).
+	res.Timing = sim.PhaseTiming{}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -153,12 +151,9 @@ flags:
 // runRemoteOnce ships a single run to a mapsd daemon. Traces cannot
 // travel: they are files on this machine, outside the canonical
 // config encoding the daemon dedupes on.
-func runRemoteOnce(baseURL string, spec *wspec.Spec, bench, tracePath string, instructions uint64, seed int64, secure bool, metaSize string, metaWays int, metaContent string, shards int) (*mapsim.Result, error) {
+func runRemoteOnce(baseURL string, spec *wspec.Spec, bench, tracePath string, instructions uint64, seed int64, secure bool, metaSize string, metaWays int, metaContent string) (*mapsim.Result, error) {
 	if tracePath != "" {
 		return nil, fmt.Errorf("-trace is machine-local and cannot run via -remote; replay it locally")
-	}
-	if shards != 0 {
-		return nil, fmt.Errorf("-shards is a local execution knob; the daemon chooses its own parallelism")
 	}
 	cs := mapsim.ConfigSpec{
 		Benchmark:    bench,

@@ -47,11 +47,9 @@ func runMaps(t *testing.T, bin string, args ...string) (string, string, error) {
 	return stdout.String(), stderr.String(), err
 }
 
-// TestRunSpecDeterministicAcrossShards exercises the real binary: a
-// workload-spec run must emit byte-identical JSON across repeats and
-// across -shards values, the end-to-end form of the epoch-parallel
-// bit-identity contract.
-func TestRunSpecDeterministicAcrossShards(t *testing.T) {
+// TestRunSpecDeterministicAcrossRepeats exercises the real binary: a
+// workload-spec run must emit byte-identical JSON across repeats.
+func TestRunSpecDeterministicAcrossRepeats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binary")
 	}
@@ -76,13 +74,6 @@ func TestRunSpecDeterministicAcrossShards(t *testing.T) {
 	if first != repeat {
 		t.Error("repeated runs emitted different JSON")
 	}
-	sharded, _, err := runMaps(t, bin, append(args, "-shards", "4")...)
-	if err != nil {
-		t.Fatalf("sharded run: %v", err)
-	}
-	if first != sharded {
-		t.Error("-shards 4 emitted different JSON than the sequential run")
-	}
 }
 
 func TestRunFlagValidation(t *testing.T) {
@@ -92,9 +83,8 @@ func TestRunFlagValidation(t *testing.T) {
 	bin := buildMaps(t)
 	cases := [][]string{
 		{"run"}, // no workload source
-		{"run", "-bench", "fft", "-trace", "x.mtrc"},                    // two sources
-		{"run", "-trace", "x.mtrc", "-remote", "http://localhost:1"},    // trace is machine-local
-		{"run", "-bench", "fft", "-shards", "2", "-remote", "http://x"}, // shards is local-only
+		{"run", "-bench", "fft", "-trace", "x.mtrc"},                 // two sources
+		{"run", "-trace", "x.mtrc", "-remote", "http://localhost:1"}, // trace is machine-local
 	}
 	for _, args := range cases {
 		if _, _, err := runMaps(t, bin, args...); err == nil {

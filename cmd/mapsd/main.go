@@ -138,7 +138,6 @@ func buildFleet(spec string, maxInflight int) []fleet.Worker {
 func main() {
 	addr := flag.String("addr", ":8750", "listen address")
 	workers := flag.Int("workers", runtime.NumCPU(), "simulation worker count")
-	shards := flag.Int("shards", 0, "epoch shards per run: 0 sequential, N forces N epochs, -1 auto-sizes to idle CPUs")
 	queue := flag.Int("queue", 64, "job queue depth (beyond it, submissions get 503)")
 	cacheEntries := flag.Int("cache-entries", 256, "result cache capacity (entries)")
 	storeDir := flag.String("store-dir", "", "persistent result-store directory (empty = memory-only)")
@@ -224,7 +223,6 @@ func main() {
 
 	srv := server.New(server.Config{
 		Workers:             *workers,
-		Shards:              *shards,
 		QueueDepth:          *queue,
 		Store:               st,
 		Logger:              logger,

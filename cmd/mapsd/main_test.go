@@ -8,10 +8,15 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"regexp"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"github.com/maps-sim/mapsim/internal/faults"
 )
 
 // TestSIGTERMDrainsRunningJobs exercises the real binary: with a job
@@ -116,5 +121,35 @@ func TestSIGTERMDrainsRunningJobs(t *testing.T) {
 	}
 	if !strings.Contains(logs.String(), "drained cleanly") {
 		t.Fatalf("no clean-drain log; the running job was not drained:\n%s", logs.String())
+	}
+}
+
+// TestFaultPointsMatchRobustnessDoc: the fault points this binary
+// links — every instrumented package registers its points at
+// initialization — are exactly the point rows of the table in
+// docs/ROBUSTNESS.md, so the documented -faults names are the ones
+// ArmSpec accepts.
+func TestFaultPointsMatchRobustnessDoc(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "ROBUSTNESS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	section := string(doc)
+	start := strings.Index(section, "## Fault-injection framework")
+	if start < 0 {
+		t.Fatal("docs/ROBUSTNESS.md has no fault-injection section")
+	}
+	section = section[start:]
+	if end := strings.Index(section[1:], "\n## "); end >= 0 {
+		section = section[:end+1]
+	}
+	row := regexp.MustCompile("(?m)^\\|\\s*`([a-z]+\\.[a-z]+)`\\s*\\|")
+	var documented []string
+	for _, m := range row.FindAllStringSubmatch(section, -1) {
+		documented = append(documented, m[1])
+	}
+	sort.Strings(documented)
+	if registered := faults.Names(); !reflect.DeepEqual(registered, documented) {
+		t.Errorf("registered fault points %v, documented %v", registered, documented)
 	}
 }

@@ -160,7 +160,7 @@ func ContentMatrix(opt Options) (*ContentMatrixResult, error) {
 			})
 		}
 	}
-	if err := runAll(jobs, opt); err != nil {
+	if err := runAll(jobs, opt.Parallelism); err != nil {
 		return nil, err
 	}
 	for _, b := range benches {
@@ -235,7 +235,7 @@ func OrgCompare(opt Options) (*OrgCompareResult, error) {
 			})
 		}
 	}
-	if err := runAll(jobs, opt); err != nil {
+	if err := runAll(jobs, opt.Parallelism); err != nil {
 		return nil, err
 	}
 	res := &OrgCompareResult{

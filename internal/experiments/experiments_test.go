@@ -324,7 +324,7 @@ func TestRunAllPropagatesRootCause(t *testing.T) {
 		{cfg: sim.Config{Instructions: 10_000, Benchmark: "libquantum", Secure: true,
 			Meta: &metacache.Config{Size: 64 << 10, Ways: 8}}, out: new(*sim.Result)},
 	}
-	err := runAll(jobList, Options{Parallelism: 2})
+	err := runAll(jobList, 2)
 	if err == nil || !strings.Contains(err.Error(), "fft") {
 		t.Fatalf("runAll error %v does not carry the failing benchmark", err)
 	}

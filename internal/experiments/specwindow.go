@@ -73,7 +73,7 @@ func SpecWindow(opt Options) (*SpecWindowResult, error) {
 			}
 		}
 	}
-	if err := runAll(jobs, opt); err != nil {
+	if err := runAll(jobs, opt.Parallelism); err != nil {
 		return nil, err
 	}
 	for _, b := range benches {

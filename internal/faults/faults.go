@@ -192,7 +192,9 @@ func (p *Point) Armed() bool { return p.armed.Load() != 0 }
 
 // registry maps names to points. Points are created on first use and
 // never removed, so a *Point can be cached in a package variable next
-// to the code it instruments.
+// to the code it instruments. Every instrumented package does exactly
+// that, so a binary's registry holds all the points it links from
+// package initialization on.
 var (
 	regMu sync.Mutex
 	reg   = make(map[string]*Point)
@@ -265,6 +267,18 @@ func Reset() {
 	}
 }
 
+// Names lists every registered point name, sorted.
+func Names() []string {
+	regMu.Lock()
+	defer regMu.Unlock()
+	names := make([]string, 0, len(reg))
+	for name := range reg {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // Armed lists the names of currently armed points, sorted.
 func Armed() []string {
 	regMu.Lock()
@@ -298,17 +312,19 @@ func Snapshot() map[string]uint64 {
 //
 //	point:mode[:rate]
 //
-// where point is a registered (or to-be-registered) injection-point
-// name, mode is "err", "panic", or "delay=DURATION" (Go duration
-// syntax), and the optional rate is a firing probability in [0, 1]
-// (default 1, i.e. every hit fires). Examples:
+// where point is a registered injection-point name, mode is "err",
+// "panic", or "delay=DURATION" (Go duration syntax), and the optional
+// rate is a firing probability in [0, 1] (default 1, i.e. every hit
+// fires). Examples:
 //
 //	jobs.run:panic:0.01
 //	results.put:err:0.05
 //	server.submit:delay=50ms:0.1
 //	sim.step:err
 //
-// A malformed entry rejects the whole spec and arms nothing.
+// A malformed entry, or a point name no linked package registered,
+// rejects the whole spec and arms nothing; the unknown-name error
+// lists the registered names.
 func ArmSpec(spec string) error {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -360,6 +376,12 @@ func ArmSpec(spec string) error {
 	}
 	// Validate everything before arming anything: a spec is atomic.
 	for _, a := range arms {
+		regMu.Lock()
+		_, known := reg[a.name]
+		regMu.Unlock()
+		if !known {
+			return fmt.Errorf("faults: unknown point %q (registered: %s)", a.name, strings.Join(Names(), ", "))
+		}
 		probe := Point{name: a.name}
 		if err := probe.Arm(a.inj); err != nil {
 			return err

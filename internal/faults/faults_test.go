@@ -143,6 +143,9 @@ func TestArmValidation(t *testing.T) {
 
 func TestArmSpec(t *testing.T) {
 	t.Cleanup(Reset)
+	for _, name := range []string{"spec.a", "spec.b", "spec.c", "spec.d"} {
+		P(name)
+	}
 	spec := "spec.a:panic:0.01, spec.b:err:0.05 ,spec.c:delay=50ms:0.1,spec.d:err"
 	if err := ArmSpec(spec); err != nil {
 		t.Fatal(err)
@@ -179,6 +182,8 @@ func TestArmSpec(t *testing.T) {
 
 func TestArmSpecRejectsMalformedAtomically(t *testing.T) {
 	t.Cleanup(Reset)
+	P("good.point")
+	P("x")
 	for _, spec := range []string{
 		"justaname",
 		"x:warp",
@@ -233,6 +238,31 @@ func BenchmarkDisarmedHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := p.Hit(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestArmSpecRejectsUnknownPoint: a name no package registered (here,
+// the retired epoch-parallel driver's sim.epoch) rejects the whole
+// spec, arms nothing, and the error lists the registered names.
+func TestArmSpecRejectsUnknownPoint(t *testing.T) {
+	t.Cleanup(Reset)
+	P("known.point")
+	err := ArmSpec("known.point:err,sim.epoch:err")
+	if err == nil {
+		t.Fatal("spec naming an unregistered point accepted")
+	}
+	for _, want := range []string{`"sim.epoch"`, "known.point"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+	if armed := Armed(); len(armed) != 0 {
+		t.Fatalf("rejected spec armed %v; ArmSpec must be atomic", armed)
+	}
+	for _, name := range Names() {
+		if name == "sim.epoch" {
+			t.Fatal("a rejected spec registered its unknown point")
 		}
 	}
 }

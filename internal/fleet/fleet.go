@@ -35,6 +35,11 @@ const (
 	FaultHealth   = "fleet.health"
 )
 
+var (
+	faultDispatch = faults.P(FaultDispatch)
+	faultHealth   = faults.P(FaultHealth)
+)
+
 // Runner executes one grid point somewhere — on the local jobs pool
 // or on a remote daemon. Implementations must be safe for concurrent
 // Run calls up to the Worker's MaxInflight bound.
@@ -376,7 +381,7 @@ func (c *Coordinator) slot(rctx context.Context, r *runState, w Worker) {
 			}
 
 			var res *sim.Result
-			err := faults.P(FaultDispatch).Hit()
+			err := faultDispatch.Hit()
 			if err != nil {
 				err = WorkerFailure(fmt.Errorf("fleet: dispatch to %s: %w", name, err))
 			} else {
@@ -391,7 +396,7 @@ func (c *Coordinator) slot(rctx context.Context, r *runState, w Worker) {
 // records healthy→unhealthy transitions.
 func (c *Coordinator) probe(r *runState, w Worker) bool {
 	name := w.Runner.Name()
-	ok := faults.P(FaultHealth).Hit() == nil && w.Runner.Healthy(r.ctx)
+	ok := faultHealth.Hit() == nil && w.Runner.Healthy(r.ctx)
 	r.mu.Lock()
 	was, seen := r.healthy[name]
 	r.healthy[name] = ok

@@ -169,7 +169,6 @@ type Pool struct {
 	// Retry policy for transient job failures (see WithRetry).
 	maxRetries int
 	retryBase  time.Duration
-	ctxWrap    func(context.Context) context.Context
 }
 
 // Option configures a Pool at construction time.
@@ -183,20 +182,6 @@ func WithLogger(l *slog.Logger) Option {
 	return func(p *Pool) {
 		if l != nil {
 			p.log = l
-		}
-	}
-}
-
-// WithContextWrap installs a hook applied to every job's context just
-// before the job function runs. The server and the sweep engine use
-// it to stamp the pool's worker count into job contexts
-// (sim.WithConcurrency), so per-run epoch parallelism sizes itself to
-// the CPU budget the pool has not already claimed. A nil wrap is
-// ignored; only one wrap is kept (last option wins).
-func WithContextWrap(wrap func(context.Context) context.Context) Option {
-	return func(p *Pool) {
-		if wrap != nil {
-			p.ctxWrap = wrap
 		}
 	}
 }
@@ -467,9 +452,6 @@ func (p *Pool) runOne(j *job) {
 		ctx, cancel = context.WithTimeout(p.baseCtx, j.timeout)
 	}
 	ctx = context.WithValue(ctx, idKey{}, j.snap.ID)
-	if p.ctxWrap != nil {
-		ctx = p.ctxWrap(ctx)
-	}
 	j.cancel = cancel
 	j.snap.State = StateRunning
 	j.snap.Started = time.Now()

@@ -476,23 +476,6 @@ func TestRunCtxCancelWhileQueued(t *testing.T) {
 	}
 }
 
-func TestWithContextWrap(t *testing.T) {
-	type wrapKey struct{}
-	p := New(1, 4, WithContextWrap(func(ctx context.Context) context.Context {
-		return context.WithValue(ctx, wrapKey{}, 42)
-	}))
-	defer p.Shutdown(context.Background())
-	out, err := p.Run(context.Background(), func(ctx context.Context) (any, error) {
-		return ctx.Value(wrapKey{}), nil
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != 42 {
-		t.Fatalf("job context value = %v, want 42 (wrap not applied)", out)
-	}
-}
-
 // TestFinishedJobReleasesClosure checks that the pool's job table
 // does not pin what a finished job's function captured: the sweep
 // engine hands each shared front log to its back jobs by closure and

@@ -34,7 +34,7 @@ var (
 		"DRAM.TBurst", "DRAM.EnergyPJPerBit", "DRAM.RowActivatePJ",
 	}
 	erasedFields = []string{
-		"Workload", "Tap", "Progress", "TracePath", "DisableFastPath", "Shards",
+		"Workload", "Tap", "Progress", "TracePath", "DisableFastPath",
 		"Hierarchy.DisableFastPath",
 		"Meta.Policy", "Meta.Partition", "Meta.DisableFastPath",
 	}

@@ -60,18 +60,6 @@ type Config struct {
 	// engine makes (for reuse analysis and trace recording). Cost is
 	// the number of memory accesses the request itself triggered.
 	Tap func(a trace.Access)
-
-	// SeedCounters, when non-nil, initializes the logical counter
-	// state instead of the all-zero map — the epoch-parallel driver
-	// hands each epoch's engine the counter snapshot the sequential
-	// run would have reached at the epoch boundary. The engine takes
-	// ownership of the map; pass a private copy (CloneCounters).
-	SeedCounters map[uint64]*ctr.PIBlock
-	// SeedHashReady initializes the HMAC engine's next-issue cycle in
-	// the new engine's cycle frame (an epoch's carried-over, rebased
-	// hash-pipeline backlog). Zero — an idle hash engine — is the
-	// ordinary fresh start.
-	SeedHashReady uint64
 }
 
 // MemTraffic counts memory accesses by purpose.
@@ -139,17 +127,12 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.HashThroughputCycles == 0 {
 		cfg.HashThroughputCycles = 4
 	}
-	counters := cfg.SeedCounters
-	if counters == nil {
-		counters = make(map[uint64]*ctr.PIBlock)
-	}
 	return &Engine{
-		cfg:         cfg,
-		layout:      cfg.Layout,
-		meta:        cfg.Meta,
-		dram:        cfg.DRAM,
-		hashReadyAt: cfg.SeedHashReady,
-		counters:    counters,
+		cfg:      cfg,
+		layout:   cfg.Layout,
+		meta:     cfg.Meta,
+		dram:     cfg.DRAM,
+		counters: make(map[uint64]*ctr.PIBlock),
 	}, nil
 }
 

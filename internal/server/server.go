@@ -77,13 +77,6 @@ type Config struct {
 	// QueueDepth bounds the backlog; submissions beyond it are shed
 	// with 429 + Retry-After (default 64).
 	QueueDepth int
-	// Shards is the default sim.Config.Shards applied to submitted
-	// runs (and suite runs) that leave Shards at 0: 0 keeps them
-	// sequential, N > 1 forces N epochs, sim.AutoShards sizes each run
-	// to the CPU budget the worker pool leaves unclaimed. Result-cache
-	// keys are unaffected — canonicalization erases Shards because the
-	// parallel path is bit-identical to the sequential one.
-	Shards int
 	// CacheEntries bounds the result cache (default 256). Ignored when
 	// Store is set — the store's own memory tier rules then.
 	CacheEntries int
@@ -228,9 +221,6 @@ type Server struct {
 	sweepsEvicted      atomic.Uint64
 	sweepsRecovered    atomic.Uint64
 
-	// shards is Config.Shards, applied to run configs in runFn/suiteFn.
-	shards int
-
 	// Robustness accounting and state.
 	maxBody    int64
 	shed       atomic.Uint64 // submissions refused with 429 (queue full)
@@ -263,13 +253,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		pool: jobs.New(cfg.Workers, cfg.QueueDepth,
 			jobs.WithLogger(log),
-			jobs.WithRetry(cfg.JobRetries, cfg.JobRetryBase),
-			jobs.WithContextWrap(func(ctx context.Context) context.Context {
-				// AutoShards runs size their epoch parallelism to the
-				// CPU budget the worker pool leaves unclaimed.
-				return sim.WithConcurrency(ctx, cfg.Workers)
-			})),
-		shards:    cfg.Shards,
+			jobs.WithRetry(cfg.JobRetries, cfg.JobRetryBase)),
 		store:     st,
 		cache:     st.Memory(),
 		mux:       http.NewServeMux(),
@@ -623,9 +607,6 @@ func (s *Server) runFn(cfg sim.Config, policy, partition string, key results.Key
 		if err != nil {
 			return nil, err
 		}
-		if runCfg.Shards == 0 {
-			runCfg.Shards = s.shards
-		}
 		t0 := time.Now()
 		res, err := sim.RunContext(ctx, runCfg)
 		if err != nil {
@@ -639,9 +620,6 @@ func (s *Server) runFn(cfg sim.Config, policy, partition string, key results.Key
 
 func (s *Server) suiteFn(cfg sim.Config, benchmarks []string, parallelism int, key results.Key, prog *obs.Progress) jobs.Fn {
 	cfg.Progress = prog
-	if cfg.Shards == 0 {
-		cfg.Shards = s.shards
-	}
 	return func(ctx context.Context) (any, error) {
 		defer s.clearInflight(key, jobs.IDFromContext(ctx))
 		ctx = s.jobCtx(ctx, TypeSuite, "benchmarks", len(benchmarks))
@@ -836,8 +814,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE mapsd_requests_shed_total counter\nmapsd_requests_shed_total %d\n", s.shed.Load())
 	fmt.Fprintf(w, "# TYPE mapsd_http_panics_total counter\nmapsd_http_panics_total %d\n", s.httpPanics.Load())
 	fmt.Fprintf(w, "# TYPE mapsd_workers gauge\nmapsd_workers %d\n", ps.Workers)
-	fmt.Fprintf(w, "# HELP mapsd_run_shards Epoch shards currently simulating across all in-flight runs.\n")
-	fmt.Fprintf(w, "# TYPE mapsd_run_shards gauge\nmapsd_run_shards %d\n", sim.ActiveShards())
 	fmt.Fprintf(w, "# TYPE mapsd_cache_hits_total counter\nmapsd_cache_hits_total %d\n", cs.Hits)
 	fmt.Fprintf(w, "# TYPE mapsd_cache_misses_total counter\nmapsd_cache_misses_total %d\n", cs.Misses)
 	fmt.Fprintf(w, "# TYPE mapsd_cache_evictions_total counter\nmapsd_cache_evictions_total %d\n", cs.Evictions)

@@ -472,33 +472,3 @@ func TestServerErrorPaths(t *testing.T) {
 		}
 	})
 }
-
-// TestServerDefaultShards: a daemon started with -shards applies the
-// default to submitted runs that don't pick their own sharding, and
-// the /metrics page exports the mapsd_run_shards gauge.
-func TestServerDefaultShards(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, Shards: 2})
-	st, _ := postJob(t, ts, smallRun)
-	final := waitDone(t, ts, st.ID)
-	if final.State != jobs.StateDone {
-		t.Fatalf("state %s (%s), want done", final.State, final.Error)
-	}
-	var res JobResult
-	getJSON(t, ts, "/v1/jobs/"+st.ID+"/result", &res)
-	if res.Run == nil || res.Run.Sharding == nil {
-		t.Fatalf("run did not shard under server default: %+v", res.Run)
-	}
-	if got := res.Run.Sharding.Shards; got != 2 {
-		t.Fatalf("run used %d shards, want the server default 2", got)
-	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	if !strings.Contains(buf.String(), "mapsd_run_shards ") {
-		t.Fatal("metrics page missing mapsd_run_shards gauge")
-	}
-}

@@ -4,18 +4,17 @@
 // stream (DESIGN.md §1), and that stream depends only on the front of
 // the pipeline — the workload generator and the cache hierarchy. The
 // back — metadata cache, secure engine, DRAM — consumes it. RunFront
-// simulates the front once and records the stream as the compact
-// event log the epoch-parallel driver also uses (event, frontLog);
-// RunBack replays a log through a fresh back. A sweep whose points
-// differ only in back-end fields (Fig. 1's metadata size × content,
-// replacement policies, org comparisons) simulates each front once and
-// runs only the backs per point.
+// simulates the front once and records the stream as a compact event
+// log (event, frontLog); RunBack replays a log through a fresh back.
+// A sweep whose points differ only in back-end fields (Fig. 1's
+// metadata size × content, replacement policies, org comparisons)
+// simulates each front once and runs only the backs per point.
 //
 // RunBack(RunFront(cfg)) is bit-identical to RunContext(cfg) apart
 // from Timing: the log carries exactly the cycle and instruction
 // weight the fused loop accumulates between memory events, the
 // warmup/measure boundary is a clean cut in the log, and the back
-// replays events with the same per-event step as the parallel driver.
+// issues each event's memory work in the fused loop's order.
 
 package sim
 
@@ -97,13 +96,15 @@ func RunFront(ctx context.Context, cfg Config) (*Front, error) {
 	if err != nil {
 		return nil, err
 	}
-	pr := &parRun{
-		l2Lat:   cfg.L2HitLatency,
-		l3Lat:   cfg.L3HitLatency,
-		baseCPI: cfg.BaseCPI,
-		unitCPI: cfg.BaseCPI == 1.0,
+	f := &Front{
+		footprint: gen.Footprint(),
+		log: frontLog{
+			l2Lat:   cfg.L2HitLatency,
+			l3Lat:   cfg.L3HitLatency,
+			baseCPI: cfg.BaseCPI,
+			unitCPI: cfg.BaseCPI == 1.0,
+		},
 	}
-	f := &Front{footprint: gen.Footprint()}
 	var (
 		acc        workload.Access
 		sinceCheck uint64
@@ -127,7 +128,7 @@ func RunFront(ctx context.Context, cfg Config) (*Front, error) {
 					return instrs, err
 				}
 			}
-			pr.access(&f.log, hier, &acc)
+			f.log.record(hier, &acc)
 		}
 		return instrs, nil
 	}
@@ -222,7 +223,7 @@ func RunBack(ctx context.Context, cfg Config, front *Front) (*Result, error) {
 	}
 	measureTime := endMeasure()
 
-	res := buildResult(c, collectTotals(front.measured, cycles-cyclesStart, front.hier, mem, eng, meta))
+	res := buildResult(c, front.measured, cycles-cyclesStart, front.hier, mem, eng, meta)
 	res.Timing = PhaseTiming{
 		Setup:   setupTime,
 		Warmup:  warmupTime,
@@ -262,4 +263,115 @@ func replayLog(ctx context.Context, eng *engine.Engine, mem *dram.Memory, cycles
 		wbIdx += n
 	}
 	return cycles, nil
+}
+
+// event is one entry of the compact log the front records and the
+// back consumes. pre and instr carry the cycle advance and
+// instructions retired since the previous event (base CPI plus L2/L3
+// hit latencies — everything the hierarchy resolves without memory).
+type event struct {
+	pre   uint64
+	addr  uint64 // data address (evRead only)
+	instr uint32
+	nWB   uint16 // writebacks issued after the read (or alone, evWB)
+	kind  uint8
+}
+
+const (
+	evNull uint8 = iota // accumulator flush at a cut: no memory work
+	evRead              // LLC miss read, followed by nWB writebacks
+	evWB                // writebacks without a read (dirty evict under a hit)
+)
+
+// frontLog is an event log under construction: the recorded events,
+// the writeback addresses they issue (flattened, in stream order), the
+// cycle and instruction weight accumulated since the last event, and
+// the per-access timing constants the fused loop hoists (latencies and
+// CPI mode).
+type frontLog struct {
+	events     []event
+	wbs        []uint64
+	pendCycles uint64
+	pendInstr  uint64
+
+	l2Lat   uint64
+	l3Lat   uint64
+	baseCPI float64
+	unitCPI bool
+}
+
+// flush records the pending weight as an evNull event, so the log can
+// be cut here (a statistics reset, the end of the run) without weight
+// crossing the cut.
+func (l *frontLog) flush() {
+	if l.pendCycles != 0 || l.pendInstr != 0 {
+		l.events = append(l.events, event{pre: l.pendCycles, instr: uint32(l.pendInstr), kind: evNull})
+		l.pendCycles, l.pendInstr = 0, 0
+	}
+}
+
+// record is the front's per-access step: it runs one generator access
+// through the cache hierarchy, charges its base-CPI and L2/L3 hit
+// cycles to the pending weight, and logs any memory work it causes.
+func (l *frontLog) record(hier *hierarchy.Hierarchy, acc *workload.Access) {
+	gap := uint64(acc.Gap)
+	l.pendInstr += gap
+	if l.pendInstr >= 1<<31 {
+		l.flush() // keep instr within its uint32
+	}
+	if l.unitCPI {
+		l.pendCycles += gap
+	} else {
+		l.pendCycles += uint64(float64(gap) * l.baseCPI)
+	}
+	o := hier.Access(acc.Addr, acc.Write)
+	switch o.Hit {
+	case hierarchy.L2:
+		l.pendCycles += l.l2Lat
+	case hierarchy.L3:
+		l.pendCycles += l.l3Lat
+	case hierarchy.Memory:
+		l.pendCycles += l.l3Lat
+		l.events = append(l.events, event{
+			pre: l.pendCycles, addr: acc.Addr,
+			instr: uint32(l.pendInstr), nWB: uint16(len(o.Writebacks)), kind: evRead,
+		})
+		l.pendCycles, l.pendInstr = 0, 0
+		l.wbs = append(l.wbs, o.Writebacks...)
+		return
+	}
+	if len(o.Writebacks) > 0 {
+		// A hit can still evict dirty blocks from the LLC (the insert
+		// cascade below the hit level).
+		l.events = append(l.events, event{
+			pre: l.pendCycles, instr: uint32(l.pendInstr),
+			nWB: uint16(len(o.Writebacks)), kind: evWB,
+		})
+		l.pendCycles, l.pendInstr = 0, 0
+		l.wbs = append(l.wbs, o.Writebacks...)
+	}
+}
+
+// replay is the back's per-event step: it advances the clock by the
+// event's front weight, then issues the event's memory work — the
+// miss read and its writebacks wbs — through the secure engine, or
+// straight to DRAM when eng is nil (an insecure run). It returns the
+// advanced cycle count.
+func replay(eng *engine.Engine, mem *dram.Memory, cycles uint64, e *event, wbs []uint64) uint64 {
+	cycles += e.pre
+	if e.kind == evRead {
+		if eng != nil {
+			cycles += eng.Read(cycles, e.addr)
+		} else {
+			cycles += mem.Access(cycles, memlayout.BlockOf(e.addr), false)
+		}
+	}
+	for _, wb := range wbs {
+		if eng != nil {
+			eng.Writeback(cycles, wb)
+		} else {
+			mem.Access(cycles, wb, true)
+		}
+	}
+	return cycles
 }

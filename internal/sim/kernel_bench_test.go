@@ -9,7 +9,7 @@ import (
 )
 
 // Kernel benchmarks: the numbers behind BENCH_kernel.json and the
-// make-check perf gate. `make bench` runs exactly these four and
+// make-check perf gate. `make bench` runs exactly these three and
 // records ns/op, allocs/op, and simulated accesses per second; see
 // docs/PERFORMANCE.md for how to read and regenerate the file.
 //
@@ -74,21 +74,5 @@ func BenchmarkRunSecure(b *testing.B) {
 		Secure:       true,
 		Speculation:  true,
 		Meta:         &metacache.Config{Size: 64 << 10, Ways: 8},
-	})
-}
-
-// BenchmarkRunSecureParallel is BenchmarkRunSecure with four forced
-// epoch shards — the intra-run parallel path, including the scan,
-// reconciliation, and merge overheads. On a multi-core machine its
-// accesses/s should approach 4× BenchmarkRunSecure; on one core it
-// measures the sharding overhead instead (see docs/PERFORMANCE.md).
-func BenchmarkRunSecureParallel(b *testing.B) {
-	benchFullRun(b, Config{
-		Benchmark:    "canneal",
-		Instructions: kernelInstructions,
-		Secure:       true,
-		Speculation:  true,
-		Meta:         &metacache.Config{Size: 64 << 10, Ways: 8},
-		Shards:       4,
 	})
 }

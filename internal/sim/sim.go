@@ -100,19 +100,6 @@ type Config struct {
 	// it — so it is erased during canonicalization and never affects
 	// cached results.
 	DisableFastPath bool
-
-	// Shards enables epoch-parallel execution: the access stream is
-	// split into epochs simulated concurrently and merged with a
-	// deterministic reduction (see epoch.go). 0 and 1 run the
-	// sequential path; N > 1 forces N shards; AutoShards derives the
-	// count from the CPUs left over after inter-run parallelism
-	// (WithConcurrency). The parallel path is bit-identical to the
-	// sequential one by contract, so — exactly like DisableFastPath —
-	// the knob is erased during canonicalization and never affects
-	// cached results. Configurations the driver cannot shard safely
-	// (caller Taps, non-cloneable generators or policies) silently
-	// fall back to the sequential path.
-	Shards int
 }
 
 func (c *Config) fill() error {
@@ -199,11 +186,9 @@ func (c Config) Canonical() (Config, error) {
 	}
 	c.fillDefaults()
 	// The fast and generic paths produce bit-identical results, so the
-	// knob carries no simulation identity. The same contract covers
-	// epoch-parallel execution, so the shard count is erased too.
+	// knob carries no simulation identity.
 	c.DisableFastPath = false
 	c.Hierarchy.DisableFastPath = false
-	c.Shards = 0
 	return c, nil
 }
 
@@ -300,12 +285,6 @@ type Result struct {
 	// Timing is the run's own wall-clock profile (host time, not
 	// simulated cycles).
 	Timing PhaseTiming `json:"timing"`
-
-	// Sharding diagnoses the epoch-parallel run (nil on the
-	// sequential path). Like Timing it describes how the run
-	// executed, not what it simulated: the simulated numbers above
-	// are bit-identical either way.
-	Sharding *ShardStats `json:"sharding,omitempty"`
 }
 
 // cancelCheckInterval is how many instructions the simulation loop
@@ -338,13 +317,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			metaCopy.DisableFastPath = true
 			cfg.Meta = &metaCopy
 		}
-	}
-	if n := effectiveShards(ctx, cfg.Shards); n > 1 && cfg.shardable() {
-		if res, ok, err := runEpochParallel(ctx, cfg, n); ok {
-			return res, err
-		}
-		// Not safely shardable after all (e.g. an uncloneable policy):
-		// fall through to the sequential path.
 	}
 	endRun := obs.Span(ctx, "run", "benchmark", cfg.Benchmark)
 	endSetup := obs.Span(ctx, "setup", "benchmark", cfg.Benchmark)
@@ -490,7 +462,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	hierStats := [3]cache.Stats{hier.L1Stats(), hier.L2Stats(), hier.L3Stats()}
-	res := buildResult(cfg, collectTotals(measured, cycles, hierStats, mem, eng, meta))
+	res := buildResult(cfg, measured, cycles, hierStats, mem, eng, meta)
 	res.Timing = PhaseTiming{
 		Setup:   setupTime,
 		Warmup:  warmupTime,
@@ -505,81 +477,36 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// runTotals are the raw integer counters one run produces — gathered
-// directly from the models on the sequential path, or merged from
-// per-epoch deltas on the parallel one. buildResult derives every
-// reported float from them, which is what makes the two paths
-// bit-identical: identical integers in, one shared float pipeline
-// out.
-type runTotals struct {
-	measured  uint64
-	cycles    uint64
-	hier      [3]cache.Stats
-	dramStats dram.Stats
-	secure    bool
-	hasMeta   bool
-	engStats  engine.Stats
-	metaSize  int
-	metaTotal metacache.KindStats
-	metaKind  [4]metacache.KindStats
-	metaLevel [16]metacache.KindStats
-}
-
-// collectTotals reads a finished sequential run's totals off its
-// models; eng and meta are nil when the run had none.
-func collectTotals(measured, cycles uint64, hier [3]cache.Stats, mem *dram.Memory,
-	eng *engine.Engine, meta *metacache.MetaCache) runTotals {
-	t := runTotals{
-		measured:  measured,
-		cycles:    cycles,
-		hier:      hier,
-		dramStats: mem.Stats(),
-		secure:    eng != nil,
-		hasMeta:   meta != nil,
-	}
-	if eng != nil {
-		t.engStats = eng.Stats()
-	}
-	if meta != nil {
-		t.metaSize = meta.Size()
-		t.metaTotal = meta.TotalStats()
-		for _, k := range memlayout.MetaKinds {
-			t.metaKind[k] = meta.KindStats(k)
-		}
-		for level := 0; level < 16; level++ {
-			t.metaLevel[level] = meta.LevelStats(level)
-		}
-	}
-	return t
-}
-
 // buildResult assembles the reported Result (everything except
-// Timing) from a run's raw totals.
-func buildResult(cfg Config, t runTotals) *Result {
+// Timing) from a finished run's measured instructions and cycles, its
+// hierarchy statistics, and its back models; eng and meta are nil
+// when the run had none.
+func buildResult(cfg Config, measured, cycles uint64, hier [3]cache.Stats, mem *dram.Memory,
+	eng *engine.Engine, meta *metacache.MetaCache) *Result {
 	res := &Result{
 		Benchmark:    cfg.Benchmark,
-		Instructions: t.measured,
-		Cycles:       t.cycles,
-		Hier:         t.hier,
-		LLC:          t.hier[2],
-		DRAM:         t.dramStats,
+		Instructions: measured,
+		Cycles:       cycles,
+		Hier:         hier,
+		LLC:          hier[2],
+		DRAM:         mem.Stats(),
 	}
-	kilo := float64(t.measured) / 1000
-	res.IPC = float64(t.measured) / float64(t.cycles)
+	kilo := float64(measured) / 1000
+	res.IPC = float64(measured) / float64(cycles)
 	res.LLCMPKI = float64(res.LLC.Misses) / kilo
 	res.DataMPKI = res.LLCMPKI
 
-	if t.secure {
-		es := t.engStats
+	if eng != nil {
+		es := eng.Stats()
 		res.Mem = es.Mem
 		res.PageReencryptions = es.PageReencryptions
 		res.SpecWindowStalls = es.SpecWindowStalls
 		res.MetaMemPKI = float64(es.Mem.Metadata()) / kilo
-		if t.hasMeta {
+		if meta != nil {
 			res.Meta = make(map[memlayout.Kind]KindResult, 3)
 			var misses, accesses, hits uint64
 			for _, k := range memlayout.MetaKinds {
-				ks := t.metaKind[k]
+				ks := meta.KindStats(k)
 				res.Meta[k] = KindResult{
 					Accesses: ks.Accesses,
 					Hits:     ks.Hits,
@@ -596,7 +523,7 @@ func buildResult(cfg Config, t runTotals) *Result {
 				res.MetaHitRate = float64(hits) / float64(accesses)
 			}
 			for level := 0; level < 16; level++ {
-				ls := t.metaLevel[level]
+				ls := meta.LevelStats(level)
 				if ls.Accesses == 0 {
 					break
 				}
@@ -617,14 +544,14 @@ func buildResult(cfg Config, t runTotals) *Result {
 
 	// Energy: core + per-level SRAM (dynamic + leakage) + metadata
 	// SRAM + DRAM.
-	res.Energy.AddInstructions(t.measured)
+	res.Energy.AddInstructions(measured)
 	res.Energy.AddSRAM(cfg.Hierarchy.L1Size, res.Hier[0].Accesses)
 	res.Energy.AddSRAM(cfg.Hierarchy.L2Size, res.Hier[1].Accesses)
 	res.Energy.AddSRAM(cfg.Hierarchy.L3Size, res.Hier[2].Accesses)
-	res.Energy.AddSRAMLeakage(cfg.Hierarchy.L1Size+cfg.Hierarchy.L2Size+cfg.Hierarchy.L3Size, t.cycles)
-	if t.hasMeta {
-		res.Energy.AddSRAM(t.metaSize, t.metaTotal.Accesses)
-		res.Energy.AddSRAMLeakage(t.metaSize, t.cycles)
+	res.Energy.AddSRAMLeakage(cfg.Hierarchy.L1Size+cfg.Hierarchy.L2Size+cfg.Hierarchy.L3Size, cycles)
+	if meta != nil {
+		res.Energy.AddSRAM(meta.Size(), meta.TotalStats().Accesses)
+		res.Energy.AddSRAMLeakage(meta.Size(), cycles)
 	}
 	res.Energy.AddDRAMPJ(res.DRAM.EnergyPJ)
 	res.EnergyPJ = res.Energy.TotalPJ()

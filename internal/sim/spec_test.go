@@ -76,16 +76,6 @@ func recordSpecTrace(t *testing.T, sp *wspec.Spec, seed int64, budget uint64) st
 	return path
 }
 
-// stripExecution erases the fields that describe how a run executed
-// (wall clock, shard layout) rather than what it simulated, so two
-// runs can be compared for simulated bit-identity.
-func stripExecution(rs ...*Result) {
-	for _, r := range rs {
-		r.Timing = PhaseTiming{}
-		r.Sharding = nil
-	}
-}
-
 // TestSpecReplayMatchesDirect records a spec workload's access stream
 // at the sim's default seed and checks the trace replay reproduces
 // the direct spec-driven run bit for bit. This pins the seed contract
@@ -105,7 +95,7 @@ func TestSpecReplayMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stripExecution(direct, replay)
+	direct.Timing, replay.Timing = PhaseTiming{}, PhaseTiming{}
 	if !reflect.DeepEqual(direct, replay) {
 		t.Errorf("replay diverged from direct run:\n direct: instrs=%d cycles=%d llc=%+v\n replay: instrs=%d cycles=%d llc=%+v",
 			direct.Instructions, direct.Cycles, direct.LLC,
@@ -113,52 +103,6 @@ func TestSpecReplayMatchesDirect(t *testing.T) {
 	}
 	if direct.Benchmark != "mixed-web" || replay.Benchmark != "mixed-web" {
 		t.Errorf("benchmark labels = %q, %q, want both %q", direct.Benchmark, replay.Benchmark, "mixed-web")
-	}
-}
-
-// TestSpecShardsBitIdentical is the epoch-parallel twin test for
-// spec-driven workloads: the sharded run must reproduce the
-// sequential run exactly, which requires the spec generator (and
-// every sub-generator) to clone correctly.
-func TestSpecShardsBitIdentical(t *testing.T) {
-	sp := parseSpecT(t)
-	base := Config{WorkloadSpec: sp, Instructions: 200_000, Secure: true, Speculation: true}
-
-	seq, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 4} {
-		cfg := base
-		cfg.Shards = shards
-		par, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if par.Sharding == nil || par.Sharding.Shards != shards {
-			t.Fatalf("shards=%d: sharding stats = %+v, want %d shards", shards, par.Sharding, shards)
-		}
-		stripExecution(seq, par)
-		if !reflect.DeepEqual(seq, par) {
-			t.Errorf("shards=%d diverged: seq cycles=%d par cycles=%d", shards, seq.Cycles, par.Cycles)
-		}
-	}
-}
-
-// TestTraceReplayRunsSequentially pins the fallback contract: a trace
-// replay generator is deliberately not a Cloner (one file handle, one
-// cursor), so a Shards request silently runs sequentially — same
-// results, no shard stats.
-func TestTraceReplayRunsSequentially(t *testing.T) {
-	sp := parseSpecT(t)
-	path := recordSpecTrace(t, sp, 1, 150_000)
-	cfg := Config{TracePath: path, Instructions: 100_000, Secure: true, Shards: 4}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sharding != nil {
-		t.Errorf("trace replay ran sharded (%+v); want sequential fallback", res.Sharding)
 	}
 }
 

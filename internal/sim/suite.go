@@ -57,10 +57,6 @@ func RunSuiteContext(ctx context.Context, base Config, benchmarks []string, para
 	if parallelism <= 0 {
 		parallelism = runtime.NumCPU()
 	}
-	// Record the fan-out width so runs with Shards == AutoShards size
-	// their epoch parallelism to the CPU budget left over after the
-	// suite's own concurrency (see effectiveShards).
-	ctx = WithConcurrency(ctx, parallelism)
 	endSuite := obs.Span(ctx, "suite", "benchmarks", len(benchmarks), "parallelism", parallelism)
 	if base.Progress != nil {
 		// Publish the whole suite's instruction total before any run

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/maps-sim/mapsim/internal/faults"
+	"github.com/maps-sim/mapsim/internal/metacache"
 	"github.com/maps-sim/mapsim/internal/results"
 	"github.com/maps-sim/mapsim/internal/sim"
 )
@@ -237,6 +238,71 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 	s3 := mustOpen(t, Options{Dir: dir, Memory: results.New(8)})
 	if v, ok := s3.Get(context.Background(), k); !ok || !reflect.DeepEqual(v, want) {
 		t.Fatalf("healed entry not served: ok=%v", ok)
+	}
+}
+
+// TestShardedEnvelopeLoads pins store compatibility with results
+// written by daemons that ran epoch-parallel simulation: their run
+// payloads carry a "sharding" diagnostics object the Result type no
+// longer has. Such an envelope, under the key the same config hashes
+// to today, still loads from disk without quarantine, and the decoded
+// result equals a fresh simulation of that config apart from Timing.
+func TestShardedEnvelopeLoads(t *testing.T) {
+	cfg := sim.Config{
+		Benchmark:    "canneal",
+		Instructions: 100_000,
+		Secure:       true,
+		Speculation:  true,
+		Meta:         &metacache.Config{Size: 64 << 10, Ways: 8},
+	}
+	fresh, err := sim.RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := results.KeyFor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = append(payload[:len(payload)-1], []byte(`,"sharding":{"shards":2,"epochs":4,`+
+		`"front_splices":1,"front_full_replays":1,"front_replayed_accesses":9000,`+
+		`"back_splices":0,"back_full_replays":2,"back_replayed_events":700}}`)...)
+	sum := sha256.Sum256(payload)
+	env, err := json.Marshal(Envelope{
+		Version:  Version,
+		Key:      string(k),
+		Kind:     KindRun,
+		Created:  time.Now().UTC(),
+		Checksum: hex.EncodeToString(sum[:]),
+		Payload:  payload,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, objectsDir, string(k)[:2], string(k)+entryExt)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, env, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := mustOpen(t, Options{Dir: dir, Memory: results.New(8)})
+	v, ok := s.Get(context.Background(), k)
+	if !ok {
+		t.Fatalf("sharded envelope missed (stats %+v)", s.Stats())
+	}
+	if st := s.Stats(); st.Quarantined != 0 || st.DiskHits != 1 {
+		t.Fatalf("stats after loading the sharded envelope: %+v", st)
+	}
+	got := v.(*sim.Result)
+	got.Timing, fresh.Timing = sim.PhaseTiming{}, sim.PhaseTiming{}
+	if !reflect.DeepEqual(got, fresh) {
+		t.Fatalf("sharded envelope decoded to a different result:\ngot  %+v\nwant %+v", got, fresh)
 	}
 }
 

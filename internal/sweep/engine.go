@@ -385,11 +385,7 @@ func Run(ctx context.Context, spec Spec, parallelism int) (*Result, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.NumCPU()
 	}
-	pool := jobs.New(parallelism, parallelism, jobs.WithContextWrap(func(ctx context.Context) context.Context {
-		// AutoShards points size their epoch parallelism to whatever
-		// CPU budget the pool's own fan-out leaves unclaimed.
-		return sim.WithConcurrency(ctx, parallelism)
-	}))
+	pool := jobs.New(parallelism, parallelism)
 	defer pool.Shutdown(context.Background())
 	eng := &Engine{Pool: pool}
 	return eng.Run(ctx, spec)

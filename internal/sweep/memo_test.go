@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"reflect"
 	"runtime"
 	"strings"
@@ -210,15 +211,7 @@ func TestMemoFrontFaultFailsFast(t *testing.T) {
 func TestMemoBackFaultFailsFast(t *testing.T) {
 	defer faults.Reset()
 	base := runtime.NumGoroutine()
-	var started atomic.Int32
-	pool := jobs.New(1, 8, jobs.WithContextWrap(func(ctx context.Context) context.Context {
-		if started.Add(1) == 2 {
-			if err := faults.P("sim.step").Arm(faults.Injection{Mode: faults.ModeErr}); err != nil {
-				panic(err)
-			}
-		}
-		return ctx
-	}))
+	pool := jobs.New(1, 8, jobs.WithLogger(slog.New(&armOnSecondStart{})))
 	spec := oneGroupSpec()
 	spec.Axes.Benchmarks = []string{"canneal", "mcf"}
 	eng := &Engine{Pool: pool}
@@ -235,6 +228,23 @@ func TestMemoBackFaultFailsFast(t *testing.T) {
 	pool.Shutdown(context.Background())
 	waitGoroutines(t, base)
 }
+
+// armOnSecondStart is a log handler that arms sim.step when the pool
+// logs its second "job started" event, just before that job runs.
+type armOnSecondStart struct{ started atomic.Int32 }
+
+func (h *armOnSecondStart) Enabled(context.Context, slog.Level) bool { return true }
+
+func (h *armOnSecondStart) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "job started" && h.started.Add(1) == 2 {
+		return faults.P("sim.step").Arm(faults.Injection{Mode: faults.ModeErr})
+	}
+	return nil
+}
+
+func (h *armOnSecondStart) WithAttrs([]slog.Attr) slog.Handler { return h }
+
+func (h *armOnSecondStart) WithGroup(string) slog.Handler { return h }
 
 // TestMemoCancelMidSweep cancels the caller's context after the first
 // memoized point completes: the sweep returns the context error, and

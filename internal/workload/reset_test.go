@@ -1,10 +1,9 @@
 // The bugfix-audit pin for generator state surviving re-seeding:
 // every named workload, the configurable synthetic, and spec-driven
 // multi-client generators must replay byte-identical streams after
-// Reset(seed) — even with a differently-seeded drain in between — and
-// their Clones must continue the stream exactly. External test
-// package so the spec package (which imports workload) can join the
-// table.
+// Reset(seed) — even with a differently-seeded drain in between.
+// External test package so the spec package (which imports workload)
+// can join the table.
 package workload_test
 
 import (
@@ -124,26 +123,6 @@ func TestResetSeedsDiffer(t *testing.T) {
 				}
 			}
 			t.Fatalf("%s: seeds 7 and 13 produced identical %d-access streams", label, n)
-		})
-	}
-}
-
-// Every audited generator must support mid-stream snapshotting, and
-// the clone must continue exactly — including the synthetic, whose
-// missing Clone used to silently force spec-driven runs down the
-// sequential path under Config.Shards.
-func TestCloneContinuesStreamEverywhere(t *testing.T) {
-	const n = 2048
-	for label, g := range auditGenerators(t) {
-		t.Run(label, func(t *testing.T) {
-			cl, ok := g.(workload.Cloner)
-			if !ok {
-				t.Fatalf("%s does not implement workload.Cloner", label)
-			}
-			g.Reset(5)
-			drain(g, n) // advance to an arbitrary mid-stream position
-			snap := cl.Clone()
-			sameStream(t, label, drain(g, n), drain(snap, n))
 		})
 	}
 }

@@ -14,9 +14,7 @@ import (
 // break on declaration order), stamping the instruction gap since the
 // previous emission. Everything is integer clocks plus a per-client
 // SplitMix64 stream, so the merged sequence is a pure function of
-// (spec, seed): bit-identical across runs, machines, and — because
-// the whole composite implements workload.Cloner — across epoch-
-// parallel shard settings.
+// (spec, seed): bit-identical across runs and machines.
 
 // srng is a SplitMix64 stream, the same generator family the workload
 // package uses, duplicated here because that one is unexported.
@@ -162,8 +160,7 @@ type multiClient struct {
 
 // Generator builds the spec's composed workload generator. The result
 // is deterministic for a given seed (it arrives pre-Reset(1), like
-// the built-ins), implements workload.Cloner so epoch-parallel runs
-// can shard it, and spans the concatenation of the clients' disjoint
+// the built-ins) and spans the concatenation of the clients' disjoint
 // address regions.
 func (s *Spec) Generator() (workload.Generator, error) {
 	if err := s.Validate(); err != nil {
@@ -246,18 +243,3 @@ func (g *multiClient) Next(a *workload.Access) {
 	g.last = bt
 	c.next = bt + c.arr.draw()
 }
-
-// Clone implements workload.Cloner: a deep copy of every client's
-// sub-generator and arrival state, continuing the merged stream from
-// exactly the current position.
-func (g *multiClient) Clone() workload.Generator {
-	c := *g
-	c.clients = make([]clientState, len(g.clients))
-	copy(c.clients, g.clients)
-	for i := range c.clients {
-		c.clients[i].gen = c.clients[i].gen.(workload.Cloner).Clone()
-	}
-	return &c
-}
-
-var _ workload.Cloner = (*multiClient)(nil)
