@@ -5,13 +5,15 @@ import (
 	"testing"
 
 	"github.com/maps-sim/mapsim/internal/metacache"
+	"github.com/maps-sim/mapsim/internal/workload"
 )
 
 // TestFastPathBitIdentical is the cross-check behind the fast-path
 // contract: routing every cache through the generic Policy interface
 // (DisableFastPath) must produce a bit-identical Result to the
 // devirtualized hot path, for both the insecure baseline and a full
-// secure run with a metadata cache.
+// secure run with a metadata cache, and for every workload's secure
+// run.
 func TestFastPathBitIdentical(t *testing.T) {
 	configs := map[string]Config{
 		"insecure": {
@@ -31,8 +33,19 @@ func TestFastPathBitIdentical(t *testing.T) {
 			Secure:       true,
 		},
 	}
+	for _, name := range workload.Names() {
+		configs["all/"+name] = Config{
+			Benchmark:    name,
+			Instructions: 50_000,
+			Secure:       true,
+			Speculation:  true,
+			Meta:         &metacache.Config{Size: 32 << 10, Ways: 8},
+		}
+	}
 	for name, cfg := range configs {
+		cfg := cfg
 		t.Run(name, func(t *testing.T) {
+			t.Parallel()
 			fast, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)

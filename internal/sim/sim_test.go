@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/maps-sim/mapsim/internal/memlayout"
 	"github.com/maps-sim/mapsim/internal/metacache"
 	"github.com/maps-sim/mapsim/internal/trace"
+	"github.com/maps-sim/mapsim/internal/workload"
 )
 
 const testInstr = 300_000
@@ -107,18 +109,28 @@ func TestSpeculationHelps(t *testing.T) {
 	}
 }
 
+// TestDeterminism pins that a run is a pure function of its config
+// on every workload: two runs of one config agree on the whole
+// Result, Timing aside.
 func TestDeterminism(t *testing.T) {
-	run := func() *Result {
-		r, err := Run(Config{Benchmark: "fft", Instructions: 100_000, Secure: true,
-			Meta: &metacache.Config{Size: 64 << 10, Ways: 8}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	a, b := run(), run()
-	if a.Cycles != b.Cycles || a.MetaMPKI != b.MetaMPKI || a.Mem != b.Mem {
-		t.Error("identical configs produced different results")
+	for _, name := range workload.Names() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			run := func() *Result {
+				r, err := Run(Config{Benchmark: name, Instructions: 100_000, Secure: true,
+					Meta: &metacache.Config{Size: 64 << 10, Ways: 8}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.Timing = PhaseTiming{}
+				return r
+			}
+			a, b := run(), run()
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("identical configs produced different results\nfirst:  %+v\nsecond: %+v", a, b)
+			}
+		})
 	}
 }
 
