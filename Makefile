@@ -52,6 +52,10 @@ race:
 	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestMemo' ./internal/sim
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestMemo|TestEngine' ./internal/sweep
 	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestMemo|TestEngine' ./internal/sweep
+	# The in-flight job table's coalescing tests (joins, waiter-counted
+	# cancellation, resubmission, twin sweeps) under the same extremes.
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestCoalesce' ./internal/jobs ./internal/server
+	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestCoalesce' ./internal/jobs ./internal/server
 
 # Ten seconds of coverage-guided fuzzing per decoder that parses
 # untrusted bytes: the trace readers (legacy and streaming), the

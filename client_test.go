@@ -295,7 +295,7 @@ func TestClientRetryIdempotentSubmit(t *testing.T) {
 	if !st.Deduped {
 		t.Error("retried submission not marked deduped")
 	}
-	if got := srv.Deduped(); got != 1 {
+	if got := srv.PoolStats().Joined; got != 1 {
 		t.Errorf("server dedup count %d, want 1 (retry coalesced)", got)
 	}
 	if got := srv.PoolStats().Submitted; got != 1 {

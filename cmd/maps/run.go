@@ -10,7 +10,6 @@ import (
 
 	"github.com/maps-sim/mapsim"
 	"github.com/maps-sim/mapsim/internal/cliutil"
-	"github.com/maps-sim/mapsim/internal/metacache"
 	"github.com/maps-sim/mapsim/internal/sim"
 	wspec "github.com/maps-sim/mapsim/internal/workload/spec"
 )
@@ -26,9 +25,9 @@ func runRunCmd(args []string) int {
 	instructions := fs.Uint64("instructions", 2_000_000, "simulated instructions")
 	seed := fs.Int64("seed", 0, "workload seed")
 	secure := fs.Bool("secure", true, "enable secure memory (counters, hashes, integrity tree)")
-	metaSize := fs.String("meta", "", "metadata-cache size (e.g. 128KB); empty = Table I default")
-	metaWays := fs.Int("ways", 0, "metadata-cache associativity (0 = default)")
-	metaContent := fs.String("content", "", "metadata-cache content policy (counters, counters+hashes, all, ...)")
+	metaSize := fs.String("meta", "", "metadata-cache size (e.g. 128KB); empty = no metadata cache")
+	metaWays := fs.Int("ways", 0, "metadata-cache associativity (0 = 8, Table I); needs -meta")
+	metaContent := fs.String("content", "", "metadata-cache content policy (counters, counters+hashes, all, ...; empty = all); needs -meta")
 	asJSON := fs.Bool("json", false, "emit the full Result JSON instead of a summary")
 	remote := fs.String("remote", "", "run via the mapsd daemon at this base URL instead of locally")
 	fs.Usage = func() {
@@ -79,40 +78,45 @@ flags:
 		}
 	}
 
-	var meta *metacache.Config
-	if *metaSize != "" || *metaWays != 0 || *metaContent != "" {
-		size := 0
-		if *metaSize != "" {
-			var err error
-			if size, err = cliutil.ParseSize(*metaSize); err != nil {
-				fmt.Fprintf(os.Stderr, "maps run: -meta: %v\n", err)
-				return 2
-			}
-		}
-		content, err := metacache.ParseContent(*metaContent)
+	// One wire-form config serves both paths: -remote ships it, a local
+	// run converts it with ToSim exactly as the daemon would.
+	cs := mapsim.ConfigSpec{
+		Benchmark:    *bench,
+		Workload:     spec,
+		Instructions: *instructions,
+		Seed:         *seed,
+		Secure:       secure,
+		Speculation:  *secure,
+	}
+	if *metaSize == "" && (*metaWays != 0 || *metaContent != "") {
+		fmt.Fprintln(os.Stderr, "maps run: -ways and -content configure the metadata cache; give its size with -meta")
+		return 2
+	}
+	if *metaSize != "" {
+		size, err := cliutil.ParseSize(*metaSize)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "maps run: -content: %v\n", err)
+			fmt.Fprintf(os.Stderr, "maps run: -meta: %v\n", err)
 			return 2
 		}
-		meta = &metacache.Config{Size: size, Ways: *metaWays, Content: content}
+		cs.Meta = &mapsim.MetaSpec{Size: mapsim.ByteSize(size), Ways: *metaWays, Content: *metaContent}
+	}
+
+	cfg, err := cs.ToSim()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "maps run: %v\n", err)
+		return 2
+	}
+	cfg.TracePath = *traceFile
+	if *remote != "" && *traceFile != "" {
+		fmt.Fprintln(os.Stderr, "maps run: -trace is machine-local and cannot run via -remote; replay it locally")
+		return 2
 	}
 
 	start := time.Now()
 	var res *mapsim.Result
-	var err error
 	if *remote != "" {
-		res, err = runRemoteOnce(*remote, spec, *bench, *traceFile, *instructions, *seed, *secure, *metaSize, *metaWays, *metaContent)
+		res, err = mapsim.NewClient(*remote).RunRemote(context.Background(), cs)
 	} else {
-		cfg := sim.Config{
-			Benchmark:    *bench,
-			WorkloadSpec: spec,
-			TracePath:    *traceFile,
-			Instructions: *instructions,
-			Seed:         *seed,
-			Secure:       *secure,
-			Speculation:  *secure,
-			Meta:         meta,
-		}
 		res, err = mapsim.Run(cfg)
 	}
 	if err != nil {
@@ -146,32 +150,4 @@ flags:
 	}
 	fmt.Fprintf(os.Stderr, "[run completed in %v]\n", time.Since(start).Round(time.Millisecond))
 	return 0
-}
-
-// runRemoteOnce ships a single run to a mapsd daemon. Traces cannot
-// travel: they are files on this machine, outside the canonical
-// config encoding the daemon dedupes on.
-func runRemoteOnce(baseURL string, spec *wspec.Spec, bench, tracePath string, instructions uint64, seed int64, secure bool, metaSize string, metaWays int, metaContent string) (*mapsim.Result, error) {
-	if tracePath != "" {
-		return nil, fmt.Errorf("-trace is machine-local and cannot run via -remote; replay it locally")
-	}
-	cs := mapsim.ConfigSpec{
-		Benchmark:    bench,
-		Workload:     spec,
-		Instructions: instructions,
-		Seed:         seed,
-		Secure:       &secure,
-		Speculation:  secure,
-	}
-	if metaSize != "" || metaWays != 0 || metaContent != "" {
-		size := 0
-		if metaSize != "" {
-			var err error
-			if size, err = cliutil.ParseSize(metaSize); err != nil {
-				return nil, fmt.Errorf("-meta: %w", err)
-			}
-		}
-		cs.Meta = &mapsim.MetaSpec{Size: mapsim.ByteSize(size), Ways: metaWays, Content: metaContent}
-	}
-	return mapsim.NewClient(baseURL).RunRemote(context.Background(), cs)
 }

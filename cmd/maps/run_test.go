@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -90,5 +91,65 @@ func TestRunFlagValidation(t *testing.T) {
 		if _, _, err := runMaps(t, bin, args...); err == nil {
 			t.Errorf("maps %s succeeded, want error", strings.Join(args, " "))
 		}
+	}
+}
+
+// TestRunMetaDefaultsWays: -meta alone builds the Table I 8-way cache,
+// exactly as -meta with an explicit -ways 8.
+func TestRunMetaDefaultsWays(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildMaps(t)
+	base := []string{"run", "-bench", "mcf", "-instructions", "200000", "-json", "-meta", "32KB"}
+	implicit, stderr, err := runMaps(t, bin, base...)
+	if err != nil {
+		t.Fatalf("-meta 32KB: %v\n%s", err, stderr)
+	}
+	explicit, stderr, err := runMaps(t, bin, append(base, "-ways", "8")...)
+	if err != nil {
+		t.Fatalf("-meta 32KB -ways 8: %v\n%s", err, stderr)
+	}
+	if implicit != explicit {
+		t.Error("-meta 32KB and -meta 32KB -ways 8 emitted different JSON")
+	}
+}
+
+// TestRunMetaFlagsNeedMeta: -ways or -content without -meta is a usage
+// error (exit 2) that names -meta.
+func TestRunMetaFlagsNeedMeta(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildMaps(t)
+	for _, flags := range [][]string{{"-content", "counters"}, {"-ways", "4"}} {
+		_, stderr, err := runMaps(t, bin, append([]string{"run", "-bench", "mcf"}, flags...)...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v without -meta: err %v, want exit 2", flags, err)
+		}
+		if !strings.Contains(stderr, "-meta") {
+			t.Errorf("%v without -meta: message %q does not name -meta", flags, stderr)
+		}
+	}
+}
+
+// TestRunUsageExample runs the workload-spec example from the usage
+// text: `maps run -workload-spec mixed.yaml -meta 128KB -json`.
+func TestRunUsageExample(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildMaps(t)
+	specPath := filepath.Join(t.TempDir(), "mixed.yaml")
+	if err := os.WriteFile(specPath, []byte(testSpecYAML), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, stderr, err := runMaps(t, bin, "run", "-workload-spec", specPath, "-meta", "128KB", "-json", "-instructions", "100000")
+	if err != nil {
+		t.Fatalf("usage example: %v\n%s", err, stderr)
+	}
+	if !strings.Contains(out, `"benchmark": "cli-mix"`) {
+		t.Fatalf("output missing spec name:\n%s", out)
 	}
 }

@@ -1,14 +1,13 @@
 // Package fleet fans sweep grid points out across a set of mapsd
-// workers. A Coordinator owns the dispatch loop: it dedupes points
-// through the shared result cache before issuing any work, bounds
-// in-flight points per worker, steals work from slow workers,
-// excludes workers whose health probe fails, re-issues straggling
-// points past a deadline, and resolves duplicate completions (the
-// price of stealing) exactly once. Both the local jobs pool
-// (PoolRunner) and remote daemons (mapsim.NewWorkerRunner, in the
-// root package) plug in through the Runner interface, so a fleet of
-// one local worker behaves byte-identically to the single-node sweep
-// engine.
+// workers. A Coordinator owns the dispatch loop: each dispatch is a
+// get-or-compute through the result store and the local pool's
+// in-flight job table; the loop bounds in-flight points per worker,
+// steals work from slow workers, excludes workers whose health probe
+// fails, re-issues straggling points past a deadline, and resolves
+// duplicate completions (the price of stealing) exactly once. Both the local jobs pool (PoolRunner) and remote daemons
+// (mapsim.NewWorkerRunner, in the root package) plug in through the
+// Runner interface, so a fleet of one local worker behaves
+// byte-identically to the single-node sweep engine.
 package fleet
 
 import (
@@ -20,6 +19,7 @@ import (
 	"time"
 
 	"github.com/maps-sim/mapsim/internal/faults"
+	"github.com/maps-sim/mapsim/internal/jobs"
 	"github.com/maps-sim/mapsim/internal/results"
 	"github.com/maps-sim/mapsim/internal/sim"
 	"github.com/maps-sim/mapsim/internal/sweep"
@@ -58,6 +58,17 @@ type Runner interface {
 	// Healthy probes the worker (e.g. GET /readyz); an unhealthy
 	// worker is excluded from dispatch until a later probe passes.
 	Healthy(ctx context.Context) bool
+}
+
+// Cache is the result-store surface the coordinator reads and fills:
+// tier-agnostic Get/Put keyed by content address (internal/store,
+// whose Get may consult disk and peers under ctx, satisfies it).
+type Cache interface {
+	// Get returns the stored value for key; ctx bounds any remote
+	// tier lookups.
+	Get(ctx context.Context, key results.Key) (any, bool)
+	// Put stores value under key.
+	Put(key results.Key, value any)
 }
 
 // Worker pairs a Runner with its dispatch bound.
@@ -101,12 +112,11 @@ func IsWorkerFailure(err error) bool {
 type Coordinator struct {
 	// Workers is the fleet; at least one is required.
 	Workers []Worker
-	// Cache, when set, dedupes points against previously computed
-	// results (by results.PointKeyFor) and stores fresh ones —
-	// the fleet's exactly-once layer.
-	Cache sweep.Cache
+	// Cache, when set, serves points it holds (by Point.Key) and stores
+	// remote workers' results; the local PoolRunner's job stores its own.
+	Cache Cache
 	// Completed pre-marks grid indices already finished by an earlier
-	// run of the same sweep (journal recovery): the pre-pass consults
+	// run of the same sweep (journal recovery): dispatch consults
 	// Cache for them even when the spec sets NoCache, so a resumed
 	// sweep re-serves them from the store instead of re-simulating. A
 	// pre-marked point the store no longer holds falls back to a
@@ -161,6 +171,7 @@ type runState struct {
 	remaining   int
 	maxAttempts int
 	noCache     bool
+	pool        *jobs.Pool // the local PoolRunner's, for coalescing; nil without one
 	firstErr    error
 	finished    bool
 	healthy     map[string]bool
@@ -231,27 +242,19 @@ func (c *Coordinator) Run(ctx context.Context, spec sweep.Spec) (*sweep.Result, 
 		noCache:     spec.NoCache,
 		healthy:     make(map[string]bool),
 	}
-
-	// Cache pre-pass: serve every already-known point before issuing
-	// any work, exactly as the single-node engine does.
-	var tasks []*task
-	for _, p := range points {
-		key, hit := c.lookup(rctx, spec, p, c.Completed[p.Index])
-		if hit != nil {
-			r.mu.Lock()
-			r.deliver(sweep.PointResult{Point: p, Result: hit, Cached: true})
-			r.mu.Unlock()
-			continue
+	for _, w := range c.Workers {
+		if pr, ok := w.Runner.(*PoolRunner); ok {
+			r.pool = pr.Pool
 		}
-		tasks = append(tasks, &task{point: p, key: key})
+	}
+
+	tasks := make([]*task, len(points))
+	for i, p := range points {
+		key, _ := p.Key() // "" if unkeyable: never looked up, joined or stored
+		tasks[i] = &task{point: p, key: key}
 	}
 	r.tasks = tasks
 	r.remaining = len(tasks)
-	if len(tasks) == 0 {
-		res.Wall = time.Since(start)
-		res.Aggregate()
-		return res, nil
-	}
 
 	// Queue capacity covers every possible copy: each task holds at
 	// most maxAttempts+1 queued copies at once (unhealthy hand-backs
@@ -299,31 +302,6 @@ func (c *Coordinator) Run(ctx context.Context, spec sweep.Spec) (*sweep.Result, 
 	res.Wall = time.Since(start)
 	res.Aggregate()
 	return res, nil
-}
-
-// lookup computes the point's content address and consults the cache,
-// mirroring the single-node engine: same key mapping, so fleet and
-// local sweeps dedupe against each other. force consults the cache
-// even under NoCache — the recovered-point path, where the store is
-// the completed point's only surviving copy.
-func (c *Coordinator) lookup(ctx context.Context, spec sweep.Spec, p sweep.Point, force bool) (results.Key, *sim.Result) {
-	if c.Cache == nil {
-		return "", nil
-	}
-	pol, part := sweep.CacheNames(p)
-	key, err := results.PointKeyFor(p.Config, pol, part)
-	if err != nil {
-		return "", nil
-	}
-	if spec.NoCache && !force {
-		return key, nil
-	}
-	if v, ok := c.Cache.Get(ctx, key); ok {
-		if r, ok := v.(*sim.Result); ok {
-			return key, r
-		}
-	}
-	return key, nil
 }
 
 // slot is one in-flight dispatch lane on worker w: pull a point,
@@ -380,16 +358,61 @@ func (c *Coordinator) slot(rctx context.Context, r *runState, w Worker) {
 					"worker", name, "point", t.point.Index)
 			}
 
-			var res *sim.Result
-			err := faultDispatch.Hit()
-			if err != nil {
-				err = WorkerFailure(fmt.Errorf("fleet: dispatch to %s: %w", name, err))
-			} else {
-				res, err = w.Runner.Run(rctx, t.point, c.Timeout, r.noCache)
-			}
-			c.complete(r, t, name, res, err)
+			res, src, err := c.dispatch(rctx, r, w, t, steal)
+			c.complete(r, t, w, res, src, err)
 		}
 	}
+}
+
+// source says how a dispatch obtained its point's result.
+type source int
+
+const (
+	computed source = iota // by the worker; the coordinator stores it
+	stored                 // by the worker, and already in the store
+	shared                 // from the store or a joined job: computed elsewhere
+)
+
+// dispatch is one get-or-compute of t's point on w: the store (forced
+// for journal-recovered points even under NoCache), else the local
+// pool's in-flight table — a keyed job for the local lane, Pool.Do for
+// a remote one — so concurrent sweeps simulate a point once. A steal,
+// which exists to run the point elsewhere, and NoCache skip both.
+func (c *Coordinator) dispatch(ctx context.Context, r *runState, w Worker, t *task, steal bool) (*sim.Result, source, error) {
+	if err := faultDispatch.Hit(); err != nil {
+		return nil, computed, WorkerFailure(fmt.Errorf("fleet: dispatch to %s: %w", w.Runner.Name(), err))
+	}
+	if !steal && c.Cache != nil && t.key != "" && (!r.noCache || c.Completed[t.point.Index]) {
+		if v, ok := c.Cache.Get(ctx, t.key); ok {
+			if res, ok := v.(*sim.Result); ok {
+				return res, shared, nil
+			}
+		}
+	}
+	join := !steal && !r.noCache && t.key != ""
+	var res *sim.Result
+	var joined bool
+	var err error
+	if pr, ok := w.Runner.(*PoolRunner); ok {
+		res, joined, err = pr.run(ctx, t.point, t.key, join, c.Timeout)
+	} else if !join || r.pool == nil {
+		res, err = w.Runner.Run(ctx, t.point, c.Timeout, r.noCache)
+		return res, computed, err
+	} else {
+		var out any
+		out, joined, err = r.pool.Do(ctx, string(t.key), func(ctx context.Context) (any, error) {
+			res, err := w.Runner.Run(ctx, t.point, c.Timeout, r.noCache)
+			if err == nil && c.Cache != nil {
+				c.Cache.Put(t.key, res) // before the job leaves the table
+			}
+			return res, err
+		}, c.Timeout)
+		res, _ = out.(*sim.Result)
+	}
+	if joined {
+		return res, shared, err
+	}
+	return res, stored, err
 }
 
 // probe checks w's health (through the fleet.health fault point) and
@@ -413,8 +436,10 @@ func (c *Coordinator) probe(r *runState, w Worker) bool {
 // complete resolves one dispatch outcome exactly once: the first
 // successful completion wins, duplicates from steals are discarded,
 // worker failures re-issue up to the attempt cap, and simulation
-// errors fail the sweep fast.
-func (c *Coordinator) complete(r *runState, t *task, worker string, res *sim.Result, err error) {
+// errors fail the sweep fast. A shared point is delivered as Cached,
+// with no worker: it was computed elsewhere.
+func (c *Coordinator) complete(r *runState, t *task, w Worker, res *sim.Result, src source, err error) {
+	worker := w.Runner.Name()
 	c.Metrics.finish(worker)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -445,11 +470,15 @@ func (c *Coordinator) complete(r *runState, t *task, worker string, res *sim.Res
 		return
 	}
 	t.done = true
-	if c.Cache != nil && t.key != "" {
-		c.Cache.Put(t.key, res)
+	if src == shared {
+		r.deliver(sweep.PointResult{Point: t.point, Result: res, Cached: true})
+	} else {
+		if src == computed && c.Cache != nil && t.key != "" {
+			c.Cache.Put(t.key, res)
+		}
+		r.deliver(sweep.PointResult{Point: t.point, Result: res, Worker: worker})
+		c.Metrics.donePoint(worker)
 	}
-	r.deliver(sweep.PointResult{Point: t.point, Result: res, Worker: worker})
-	c.Metrics.donePoint(worker)
 	r.remaining--
 	if r.remaining == 0 {
 		r.finished = true

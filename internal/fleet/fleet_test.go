@@ -394,8 +394,7 @@ func TestCachePrepassDedupesEverything(t *testing.T) {
 	}
 	cache := newCountingCache()
 	for _, p := range points {
-		pol, part := sweep.CacheNames(p)
-		key, err := results.PointKeyFor(p.Config, pol, part)
+		key, err := p.Key()
 		if err != nil {
 			t.Fatal(err)
 		}

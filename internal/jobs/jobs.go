@@ -4,6 +4,8 @@
 // long (seconds to minutes), so the pool deliberately rejects work
 // once the queue is full — back-pressure at submit time beats an
 // unbounded backlog the client will time out on anyway.
+// It is also where identical work coalesces: a keyed submission whose
+// key (for mapsd, a results.Key) names a queued or running job joins it.
 package jobs
 
 import (
@@ -127,10 +129,14 @@ type Snapshot struct {
 // job is the internal mutable record.
 type job struct {
 	snap    Snapshot
+	key     string // in-flight table key; "" for an unkeyed job
 	fn      Fn
 	timeout time.Duration
 	cancel  context.CancelFunc // non-nil once running; also set for queued cancellation
 	doneCh  chan struct{}      // closed on reaching a terminal state
+	err     error              // the failure, kept so waiters can unwrap it
+	waiters int                // RunKeyed/Do callers holding the job; the last to leave cancels it
+	pinned  bool               // a SubmitKeyed caller holds it: leaving waiters never cancel it
 }
 
 // Stats counts pool activity. Queued/Running are current populations;
@@ -151,20 +157,24 @@ type Stats struct {
 	// Retries counts re-executions of jobs whose function returned a
 	// transient error with retry budget remaining.
 	Retries uint64 `json:"retries"`
+	// Joined counts keyed submissions served by a job already queued
+	// or running for the same key; none of them queued anything.
+	Joined uint64 `json:"joined"`
 }
 
 // Pool runs jobs on a fixed set of workers.
 type Pool struct {
-	mu      sync.Mutex
-	jobs    map[string]*job
-	queue   chan *job
-	seq     uint64
-	closed  bool
-	stats   Stats
-	wg      sync.WaitGroup // workers
-	baseCtx context.Context
-	stopAll context.CancelFunc
-	log     *slog.Logger
+	mu       sync.Mutex
+	jobs     map[string]*job
+	inflight map[string]*job // key → its queued or running job
+	queue    chan *job
+	seq      uint64
+	closed   bool
+	stats    Stats
+	wg       sync.WaitGroup // workers
+	baseCtx  context.Context
+	stopAll  context.CancelFunc
+	log      *slog.Logger
 
 	// Retry policy for transient job failures (see WithRetry).
 	maxRetries int
@@ -215,6 +225,7 @@ func New(workers, depth int, opts ...Option) *Pool {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Pool{
 		jobs:       make(map[string]*job),
+		inflight:   make(map[string]*job),
 		queue:      make(chan *job, depth),
 		baseCtx:    ctx,
 		stopAll:    cancel,
@@ -240,35 +251,83 @@ func New(workers, depth int, opts ...Option) *Pool {
 // check and the enqueue happen under one lock, so a submission can
 // never race into a closing queue.
 func (p *Pool) Submit(fn Fn, timeout time.Duration) (string, error) {
+	id, _, err := p.SubmitKeyed("", fn, timeout)
+	return id, err
+}
+
+// SubmitKeyed is Submit with coalescing: when key names a job that is
+// still queued or running, that job's ID comes back with joined set
+// and nothing is queued. An empty key never joins. The submitter holds
+// the job until it finishes, so no Run waiter leaving cancels it.
+func (p *Pool) SubmitKeyed(key string, fn Fn, timeout time.Duration) (id string, joined bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return "", ErrDraining
+	j, joined, err := p.enqueueLocked(key, fn, timeout, false)
+	if err != nil {
+		return "", false, err
 	}
+	j.pinned = true
+	return j.snap.ID, joined, nil
+}
+
+// enqueueLocked joins key's in-flight job or queues a new one — on a
+// goroutine of its own when own is set. Caller holds p.mu.
+func (p *Pool) enqueueLocked(key string, fn Fn, timeout time.Duration, own bool) (*job, bool, error) {
+	if p.closed {
+		return nil, false, ErrDraining
+	}
+	if j := p.inflight[key]; key != "" && j != nil {
+		p.stats.Joined++
+		p.log.Info("job joined", "job_id", j.snap.ID)
+		return j, true, nil
+	}
+	j := p.newJobLocked(StateQueued, fn, timeout)
+	if own {
+		p.wg.Add(1) // Shutdown waits for it like for a worker
+		go func() {
+			defer p.wg.Done()
+			p.runOne(j) // blocks on p.mu until the caller registers j
+		}()
+	} else {
+		select {
+		case p.queue <- j:
+		default:
+			p.seq-- // ID was never exposed; reuse it
+			p.stats.Rejected++
+			p.log.Warn("job rejected", "reason", "queue full", "queue_depth", p.stats.Queued)
+			return nil, false, ErrQueueFull
+		}
+	}
+	p.addLocked(j, key)
+	p.stats.Queued++
+	p.log.Info("job enqueued", "job_id", j.snap.ID, "queue_depth", p.stats.Queued)
+	return j, false, nil
+}
+
+// newJobLocked builds a job record under the next ID. Caller holds p.mu.
+func (p *Pool) newJobLocked(state State, fn Fn, timeout time.Duration) *job {
 	p.seq++
-	j := &job{
+	return &job{
 		snap: Snapshot{
 			ID:      fmt.Sprintf("j-%08d", p.seq),
-			State:   StateQueued,
+			State:   state,
 			Created: time.Now(),
 		},
 		fn:      fn,
 		timeout: timeout,
 		doneCh:  make(chan struct{}),
 	}
-	select {
-	case p.queue <- j:
-	default:
-		p.seq-- // ID was never exposed; reuse it
-		p.stats.Rejected++
-		p.log.Warn("job rejected", "reason", "queue full", "queue_depth", p.stats.Queued)
-		return "", ErrQueueFull
-	}
+}
+
+// addLocked registers j, and enters it in the in-flight table under a
+// non-empty key. Caller holds p.mu.
+func (p *Pool) addLocked(j *job, key string) {
 	p.jobs[j.snap.ID] = j
 	p.stats.Submitted++
-	p.stats.Queued++
-	p.log.Info("job enqueued", "job_id", j.snap.ID, "queue_depth", p.stats.Queued)
-	return j.snap.ID, nil
+	if key != "" {
+		j.key = key
+		p.inflight[key] = j
+	}
 }
 
 // Complete is a convenience for cache hits: it registers a job that
@@ -280,22 +339,10 @@ func (p *Pool) Complete(result any) (string, error) {
 	if p.closed {
 		return "", ErrDraining
 	}
-	p.seq++
-	now := time.Now()
-	j := &job{
-		snap: Snapshot{
-			ID:       fmt.Sprintf("j-%08d", p.seq),
-			State:    StateDone,
-			Created:  now,
-			Started:  now,
-			Finished: now,
-			Result:   result,
-		},
-		doneCh: make(chan struct{}),
-	}
+	j := p.newJobLocked(StateDone, nil, 0)
+	j.snap.Started, j.snap.Finished, j.snap.Result = j.snap.Created, j.snap.Created, result
 	close(j.doneCh)
-	p.jobs[j.snap.ID] = j
-	p.stats.Submitted++
+	p.addLocked(j, "")
 	p.stats.Completed++
 	p.log.Info("job born done", "job_id", j.snap.ID)
 	return j.snap.ID, nil
@@ -314,6 +361,8 @@ func (p *Pool) Get(id string) (Snapshot, error) {
 
 // Cancel stops a queued or running job. Cancelling a queued job is
 // immediate; a running job stops at its next cancellation check.
+// Either way the job leaves the in-flight table at once, so a later
+// identical submission starts afresh, and its waiters submit again.
 // Cancelling a terminal job is a no-op (returns nil).
 func (p *Pool) Cancel(id string) error {
 	p.mu.Lock()
@@ -322,13 +371,26 @@ func (p *Pool) Cancel(id string) error {
 	if !ok {
 		return ErrNotFound
 	}
+	p.cancelLocked(j)
+	return nil
+}
+
+// cancelLocked cancels j unless it is terminal. Caller holds p.mu.
+func (p *Pool) cancelLocked(j *job) {
+	p.untrackLocked(j)
 	switch j.snap.State {
 	case StateQueued:
 		p.finishLocked(j, StateCanceled, nil, context.Canceled)
 	case StateRunning:
-		j.cancel() // worker observes ctx and finishes the job
+		j.cancel() // the job's runner observes ctx and finishes it
 	}
-	return nil
+}
+
+// untrackLocked drops j's in-flight table entry. Caller holds p.mu.
+func (p *Pool) untrackLocked(j *job) {
+	if j.key != "" && p.inflight[j.key] == j {
+		delete(p.inflight, j.key)
+	}
 }
 
 // Draining reports whether Shutdown has begun: the pool still
@@ -365,41 +427,85 @@ func (p *Pool) Wait(ctx context.Context, id string) (Snapshot, error) {
 // running — and returns the context error; a failed job returns its
 // error with a nil result.
 func (p *Pool) Run(ctx context.Context, fn Fn, timeout time.Duration) (any, error) {
-	var id string
+	out, _, err := p.RunKeyed(ctx, "", fn, timeout)
+	return out, err
+}
+
+// RunKeyed is Run with coalescing: a job already queued or running for
+// key is joined (joined reports it) instead of queueing fn. The caller
+// waits on its own goroutine, never inside a pool worker, so a full
+// pool cannot deadlock against itself. Leaving (ctx done) cancels the
+// job only when no other waiter and no SubmitKeyed caller holds it. A
+// job cancelled by someone else while ctx is live is submitted again
+// rather than failing the caller.
+func (p *Pool) RunKeyed(ctx context.Context, key string, fn Fn, timeout time.Duration) (out any, joined bool, err error) {
+	return p.run(ctx, key, fn, timeout, false)
+}
+
+// Do is RunKeyed for work that waits rather than computes — a fleet
+// coordinator's dispatch to a remote daemon: fn runs on a goroutine of
+// its own instead of a worker slot, under the same table and rules.
+func (p *Pool) Do(ctx context.Context, key string, fn Fn, timeout time.Duration) (out any, joined bool, err error) {
+	return p.run(ctx, key, fn, timeout, true)
+}
+
+// run joins or submits key's job for one waiter and waits for it.
+func (p *Pool) run(ctx context.Context, key string, fn Fn, timeout time.Duration, own bool) (any, bool, error) {
 	for backoff := time.Millisecond; ; {
-		var err error
-		id, err = p.Submit(fn, timeout)
+		p.mu.Lock()
+		j, joined, err := p.enqueueLocked(key, fn, timeout, own)
 		if err == nil {
-			break
+			j.waiters++
+		}
+		p.mu.Unlock()
+		if err == nil {
+			out, again, err := p.await(ctx, j)
+			if !again {
+				return out, joined, err
+			}
+			continue
 		}
 		if !errors.Is(err, ErrQueueFull) {
-			return nil, err
+			return nil, false, err
 		}
 		select {
 		case <-time.After(backoff):
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, false, ctx.Err()
 		}
 		if backoff < 50*time.Millisecond {
 			backoff *= 2
 		}
 	}
-	snap, err := p.Wait(ctx, id)
-	if err != nil {
-		// ctx died while waiting; reap the orphaned job.
-		p.Cancel(id)
-		return nil, err
+}
+
+// await blocks one waiter until j finishes or ctx is done. again
+// reports that someone else cancelled j while ctx is still live: the
+// caller should submit again rather than fail.
+func (p *Pool) await(ctx context.Context, j *job) (out any, again bool, err error) {
+	select {
+	case <-j.doneCh:
+	case <-ctx.Done():
+		p.mu.Lock()
+		if j.waiters--; j.waiters == 0 && !j.pinned {
+			p.cancelLocked(j) // reap the orphaned job
+		}
+		p.mu.Unlock()
+		return nil, false, ctx.Err()
 	}
+	p.mu.Lock()
+	snap, jerr, closed := j.snap, j.err, p.closed
+	p.mu.Unlock()
 	switch snap.State {
 	case StateDone:
-		return snap.Result, nil
-	case StateCanceled:
-		if snap.Err != "" {
-			return nil, fmt.Errorf("jobs: %s canceled: %s", id, snap.Err)
+		return snap.Result, false, nil
+	case StateCanceled: // always with a context error
+		if errors.Is(jerr, context.Canceled) && ctx.Err() == nil && !closed {
+			return nil, true, nil
 		}
-		return nil, context.Canceled
+		return nil, false, fmt.Errorf("jobs: %s canceled: %s", snap.ID, snap.Err)
 	default:
-		return nil, fmt.Errorf("jobs: %s failed: %s", id, snap.Err)
+		return nil, false, fmt.Errorf("jobs: %s failed: %w", snap.ID, jerr)
 	}
 }
 
@@ -493,6 +599,7 @@ func (p *Pool) runOne(j *job) {
 	cancel()
 
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.stats.Running--
 	switch {
 	case err == nil:
@@ -502,7 +609,6 @@ func (p *Pool) runOne(j *job) {
 	default:
 		p.finishLocked(j, StateFailed, nil, err)
 	}
-	p.mu.Unlock()
 }
 
 // invoke runs one attempt of the job function inside a recovery
@@ -539,6 +645,7 @@ func (p *Pool) finishLocked(j *job, state State, result any, err error) {
 	if j.snap.State == StateQueued {
 		p.stats.Queued--
 	}
+	p.untrackLocked(j)
 	j.snap.State = state
 	j.snap.Finished = time.Now()
 	j.snap.Result = result
@@ -546,6 +653,7 @@ func (p *Pool) finishLocked(j *job, state State, result any, err error) {
 	// job table does not pin what the closure captured.
 	j.fn = nil
 	if err != nil {
+		j.err = err
 		j.snap.Err = err.Error()
 	}
 	switch state {

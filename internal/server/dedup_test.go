@@ -52,7 +52,7 @@ func TestSubmitDedupsInflightJob(t *testing.T) {
 		t.Errorf("no_cache submission coalesced onto job %s", st1.ID)
 	}
 
-	if got := s.deduped.Load(); got != 1 {
+	if got := s.PoolStats().Joined; got != 1 {
 		t.Errorf("dedup counter = %d, want 1", got)
 	}
 
@@ -85,7 +85,7 @@ func TestDedupClearsAfterCompletion(t *testing.T) {
 	if !st2.CacheHit {
 		t.Error("second submission of a finished config should be a cache hit")
 	}
-	if got := s.deduped.Load(); got != 0 {
+	if got := s.PoolStats().Joined; got != 0 {
 		t.Errorf("dedup counter = %d, want 0", got)
 	}
 }

@@ -25,8 +25,7 @@ import (
 func sweepGridHash(points []sweep.Point) string {
 	h := sha256.New()
 	for _, p := range points {
-		pol, part := sweep.CacheNames(p)
-		key, err := results.PointKeyFor(p.Config, pol, part)
+		key, err := p.Key()
 		if err != nil {
 			// Unkeyable points still contribute deterministically so
 			// the hash stays order- and content-sensitive.

@@ -20,7 +20,10 @@
 //
 // Submission consults the result cache first: a request whose
 // canonical config hash is already cached gets a job that is born
-// done, carrying the cached result — the simulator never runs.
+// done, carrying the cached result — the simulator never runs. A
+// request whose key a queued or running job is already computing
+// joins that job (see jobs.Pool.SubmitKeyed), whether a client or a
+// sweep started it.
 //
 // Overload and shutdown degrade gracefully rather than falling over
 // (docs/ROBUSTNESS.md): a full queue sheds the submission with 429 +
@@ -189,12 +192,6 @@ type Server struct {
 
 	mu   sync.Mutex
 	meta map[string]jobMeta
-	// inflight maps a canonical config hash to the ID of the queued or
-	// running job computing it, so identical submissions coalesce onto
-	// one simulation (singleflight). Entries are cleared when the job
-	// function returns or the job is cancelled while queued.
-	inflight map[results.Key]string
-	deduped  atomic.Uint64
 
 	// Sweep registry (see sweeps.go): coordinators run in their own
 	// goroutines and shard points into the pool. journal, when
@@ -259,7 +256,6 @@ func New(cfg Config) *Server {
 		mux:       http.NewServeMux(),
 		log:       log,
 		meta:      make(map[string]jobMeta),
-		inflight:  make(map[results.Key]string),
 		sweeps:    make(map[string]*sweepJob),
 		started:   time.Now(),
 		phaseSecs: make(map[string]float64),
@@ -383,11 +379,6 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 // PoolStats exposes the job-pool counters.
 func (s *Server) PoolStats() jobs.Stats { return s.pool.Stats() }
 
-// Deduped returns how many submissions were coalesced onto an
-// identical in-flight job (singleflight) — the counter that proves a
-// retried submit did not double-run.
-func (s *Server) Deduped() uint64 { return s.deduped.Load() }
-
 // SweepsEvicted returns how many finished sweeps the registry has
 // evicted (TTL or cap) — behind mapsd_sweeps_evicted_total.
 func (s *Server) SweepsEvicted() uint64 { return s.sweepsEvicted.Load() }
@@ -454,7 +445,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if cfg.WorkloadSpec == nil {
-			// Spec-driven runs validate through PointKeyFor below (the
+			// Spec-driven runs validate through Point.Key below (the
 			// spec's name is not a registry entry by design).
 			if _, err := workload.New(cfg.Benchmark); err != nil {
 				writeError(w, http.StatusBadRequest, "bad config: %v", err)
@@ -466,12 +457,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad config: %v", err)
 			return
 		}
-		key, err = results.PointKeyFor(cfg, pol, part)
+		point := sweep.Point{Config: cfg, Policy: pol, Partition: part}
+		key, err = point.Key()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad config: %v", err)
 			return
 		}
-		fn = s.runFn(cfg, pol, part, key, prog)
+		point.Config.Progress = prog // after keying: progress is not config
+		fn = s.pointJob(point, key)
 	case TypeSuite:
 		if req.Config.Workload != nil {
 			// A suite varies the benchmark; a base workload spec would
@@ -501,7 +494,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad config: %v", err)
 			return
 		}
-		fn = s.suiteFn(cfg, benchmarks, req.Parallelism, key, prog)
+		cfg.Progress = prog // after keying: progress is not config
+		fn = s.simJob(key, func(ctx context.Context) (any, error) {
+			ctx = s.jobCtx(ctx, TypeSuite, "benchmarks", len(benchmarks))
+			return sim.RunSuiteContext(ctx, cfg, benchmarks, req.Parallelism)
+		})
 	default:
 		writeError(w, http.StatusBadRequest, "unknown job type %q (want run or suite)", req.Type)
 		return
@@ -520,21 +517,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, s.status(snap))
 			return
 		}
-		// Singleflight: an identical job already queued or running
-		// serves this submission too — hand back its ID instead of
-		// simulating the same config twice.
-		if id, ok := s.inflightJob(key); ok {
-			if snap, err := s.pool.Get(id); err == nil && !snap.State.Terminal() {
-				s.deduped.Add(1)
-				st := s.status(snap)
-				st.Deduped = true
-				writeJSON(w, http.StatusOK, st)
-				return
-			}
-		}
 	}
 
-	id, err := s.pool.Submit(fn, timeout)
+	// NoCache is a forced re-run: it bypasses the join as well.
+	joinKey := string(key)
+	if req.NoCache {
+		joinKey = ""
+	}
+	id, joined, err := s.pool.SubmitKeyed(joinKey, fn, timeout)
 	switch {
 	case err == nil:
 	case errors.Is(err, jobs.ErrQueueFull):
@@ -552,38 +542,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.noteJob(id, jobMeta{typ: req.Type, key: key, progress: prog})
-	if !req.NoCache {
-		s.setInflight(key, id)
+	m, code := jobMeta{typ: req.Type, key: key, progress: prog}, http.StatusAccepted
+	if joined {
+		m.progress, code = nil, http.StatusOK // the joined job ticks its own, if any
 	}
+	s.noteJob(id, m)
 	snap, _ := s.pool.Get(id)
-	writeJSON(w, http.StatusAccepted, s.status(snap))
-}
-
-// setInflight registers id as the job computing key.
-func (s *Server) setInflight(key results.Key, id string) {
-	s.mu.Lock()
-	s.inflight[key] = id
-	s.mu.Unlock()
-}
-
-// inflightJob reports the job currently computing key, if any.
-func (s *Server) inflightJob(key results.Key) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id, ok := s.inflight[key]
-	return id, ok
-}
-
-// clearInflight drops the key→id registration, but only if it still
-// points at id: a later identical resubmission may have re-registered
-// the key for a fresh job.
-func (s *Server) clearInflight(key results.Key, id string) {
-	s.mu.Lock()
-	if s.inflight[key] == id {
-		delete(s.inflight, key)
-	}
-	s.mu.Unlock()
+	st := s.status(snap)
+	st.Deduped = joined
+	writeJSON(w, code, st)
 }
 
 // jobCtx gives the work function a run-scoped logger: job ID doubles
@@ -594,49 +561,34 @@ func (s *Server) jobCtx(ctx context.Context, typ string, attrs ...any) context.C
 	return obs.Into(ctx, l)
 }
 
-// runFn wraps one simulation as a pool job: instantiate the point's
-// policy/partition fresh per attempt (sweep.Instantiate — retries
-// must never see a warmed instance), run under ctx, account
-// throughput and phase timings, populate the cache.
-func (s *Server) runFn(cfg sim.Config, policy, partition string, key results.Key, prog *obs.Progress) jobs.Fn {
-	cfg.Progress = prog
+// simJob is the one job function behind every simulation this daemon
+// runs — /v1/jobs runs and suites, and its local fleet lane's sweep
+// points: run computes, simJob accounts the runs once and stores the
+// result under key — the single Put per computed key.
+func (s *Server) simJob(key results.Key, run func(context.Context) (any, error)) jobs.Fn {
 	return func(ctx context.Context) (any, error) {
-		defer s.clearInflight(key, jobs.IDFromContext(ctx))
-		ctx = s.jobCtx(ctx, TypeRun, "benchmark", cfg.Benchmark)
-		runCfg, err := sweep.Instantiate(sweep.Point{Config: cfg, Policy: policy, Partition: partition})
-		if err != nil {
-			return nil, err
-		}
 		t0 := time.Now()
-		res, err := sim.RunContext(ctx, runCfg)
+		res, err := run(ctx)
 		if err != nil {
 			return nil, err
 		}
-		s.accountRun(res, time.Since(t0))
+		s.account(res, time.Since(t0))
 		s.store.Put(key, res)
 		return res, nil
 	}
 }
 
-func (s *Server) suiteFn(cfg sim.Config, benchmarks []string, parallelism int, key results.Key, prog *obs.Progress) jobs.Fn {
-	cfg.Progress = prog
-	return func(ctx context.Context) (any, error) {
-		defer s.clearInflight(key, jobs.IDFromContext(ctx))
-		ctx = s.jobCtx(ctx, TypeSuite, "benchmarks", len(benchmarks))
-		t0 := time.Now()
-		res, err := sim.RunSuiteContext(ctx, cfg, benchmarks, parallelism)
+// pointJob is simJob for one point, instantiated fresh per attempt
+// (sweep.Instantiate: retries must never see a warmed policy).
+func (s *Server) pointJob(p sweep.Point, key results.Key) jobs.Fn {
+	return s.simJob(key, func(ctx context.Context) (any, error) {
+		ctx = s.jobCtx(ctx, TypeRun, "benchmark", p.Config.Benchmark)
+		cfg, err := sweep.Instantiate(p)
 		if err != nil {
 			return nil, err
 		}
-		var instrs uint64
-		for _, r := range res.PerBench {
-			instrs += r.Instructions
-			s.recordTiming(r.Timing)
-		}
-		s.account(instrs, time.Since(t0))
-		s.store.Put(key, res)
-		return res, nil
-	}
+		return sim.RunContext(ctx, cfg)
+	})
 }
 
 // recordTiming folds one run's phase profile into the cumulative
@@ -650,22 +602,29 @@ func (s *Server) recordTiming(t sim.PhaseTiming) {
 	s.phaseMu.Unlock()
 }
 
-// accountRun records one simulated run — a /v1/jobs run or a sweep
-// point on this daemon's pool — in the throughput counters and the
-// per-phase timings.
-func (s *Server) accountRun(res *sim.Result, busy time.Duration) {
-	s.account(res.Instructions, busy)
-	s.recordTiming(res.Timing)
-}
-
-func (s *Server) account(instructions uint64, busy time.Duration) {
-	s.instrTotal.Add(instructions)
+// account records one job's simulated runs — a run, or every
+// benchmark of a suite — in the throughput counters and the per-phase
+// timings.
+func (s *Server) account(res any, busy time.Duration) {
+	switch r := res.(type) {
+	case *sim.Result:
+		s.instrTotal.Add(r.Instructions)
+		s.recordTiming(r.Timing)
+	case *sim.SuiteResult:
+		for _, b := range r.PerBench {
+			s.instrTotal.Add(b.Instructions)
+			s.recordTiming(b.Timing)
+		}
+	}
 	s.busyNanos.Add(int64(busy))
 }
 
+// noteJob records a job's metadata, keeping what a joined job has.
 func (s *Server) noteJob(id string, m jobMeta) {
 	s.mu.Lock()
-	s.meta[id] = m
+	if _, ok := s.meta[id]; !ok {
+		s.meta[id] = m
+	}
 	s.mu.Unlock()
 }
 
@@ -761,11 +720,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	// A job cancelled while still queued never runs its function, so
-	// its singleflight registration must be cleared here.
-	if m := s.jobMeta(id); m.key != "" {
-		s.clearInflight(m.key, id)
-	}
 	snap, err := s.pool.Get(id)
 	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
@@ -806,7 +760,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE mapsd_jobs_failed_total counter\nmapsd_jobs_failed_total %d\n", ps.Failed)
 	fmt.Fprintf(w, "# TYPE mapsd_jobs_canceled_total counter\nmapsd_jobs_canceled_total %d\n", ps.Canceled)
 	fmt.Fprintf(w, "# TYPE mapsd_jobs_rejected_total counter\nmapsd_jobs_rejected_total %d\n", ps.Rejected)
-	fmt.Fprintf(w, "# TYPE mapsd_jobs_deduped_total counter\nmapsd_jobs_deduped_total %d\n", s.deduped.Load())
+	fmt.Fprintf(w, "# HELP mapsd_jobs_deduped_total Submissions and sweep points that joined an identical in-flight job instead of simulating.\n")
+	fmt.Fprintf(w, "# TYPE mapsd_jobs_deduped_total counter\nmapsd_jobs_deduped_total %d\n", ps.Joined)
 	fmt.Fprintf(w, "# HELP mapsd_jobs_panics_total Job functions that panicked; every one was isolated by the worker.\n")
 	fmt.Fprintf(w, "# TYPE mapsd_jobs_panics_total counter\nmapsd_jobs_panics_total %d\n", ps.Panics)
 	fmt.Fprintf(w, "# TYPE mapsd_jobs_retries_total counter\nmapsd_jobs_retries_total %d\n", ps.Retries)
@@ -874,7 +829,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE mapsd_sweeps_running gauge\nmapsd_sweeps_running %d\n", sweepsRunning)
 	fmt.Fprintf(w, "# TYPE mapsd_sweep_points_planned_total counter\nmapsd_sweep_points_planned_total %d\n", ss.PointsPlanned)
 	fmt.Fprintf(w, "# TYPE mapsd_sweep_points_done_total counter\nmapsd_sweep_points_done_total %d\n", ss.PointsDone)
-	fmt.Fprintf(w, "# HELP mapsd_sweep_points_deduped_total Sweep points served from the results cache without simulating.\n")
+	fmt.Fprintf(w, "# HELP mapsd_sweep_points_deduped_total Sweep points served without simulating: from the result store, or by joining an in-flight job.\n")
 	fmt.Fprintf(w, "# TYPE mapsd_sweep_points_deduped_total counter\nmapsd_sweep_points_deduped_total %d\n", ss.PointsDeduped)
 	fmt.Fprintf(w, "# HELP mapsd_sweeps_evicted_total Finished sweeps dropped from the registry by TTL or the registry cap.\n")
 	fmt.Fprintf(w, "# TYPE mapsd_sweeps_evicted_total counter\nmapsd_sweeps_evicted_total %d\n", s.sweepsEvicted.Load())

@@ -14,7 +14,6 @@ import (
 	"github.com/maps-sim/mapsim/internal/fleet"
 	"github.com/maps-sim/mapsim/internal/jobs"
 	"github.com/maps-sim/mapsim/internal/journal"
-	"github.com/maps-sim/mapsim/internal/results"
 	"github.com/maps-sim/mapsim/internal/sweep"
 	wspec "github.com/maps-sim/mapsim/internal/workload/spec"
 )
@@ -115,7 +114,8 @@ type SweepStatus struct {
 	// slots per point).
 	State jobs.State `json:"state"`
 	// Total, Done, and Deduped count grid points: planned, completed,
-	// and served from the results cache without simulating.
+	// and served without simulating — from the result store, or by
+	// joining a job already computing the same key.
 	Total   int `json:"total"`
 	Done    int `json:"done"`
 	Deduped int `json:"deduped"`
@@ -257,7 +257,7 @@ func (s *Server) startSweep(ctx context.Context, cancel context.CancelFunc, j *s
 	}
 	workers := make([]fleet.Worker, 0, len(s.fleetWorkers)+1)
 	workers = append(workers, fleet.Worker{
-		Runner:      &fleet.PoolRunner{Pool: s.pool, OnRun: s.accountRun},
+		Runner:      &fleet.PoolRunner{Pool: s.pool, Job: s.pointJob},
 		MaxInflight: parallelism,
 	})
 	workers = append(workers, s.fleetWorkers...)
@@ -352,8 +352,7 @@ func (s *Server) journalPoint(j *sweepJob, pr sweep.PointResult) {
 	if j.wal == nil {
 		return
 	}
-	pol, part := sweep.CacheNames(pr.Point)
-	key, _ := results.PointKeyFor(pr.Point.Config, pol, part)
+	key, _ := pr.Point.Key()
 	if err := j.wal.Point(journal.Point{
 		Index:  pr.Point.Index,
 		Key:    string(key),

@@ -291,9 +291,9 @@ type JobStatus struct {
 	State    jobs.State `json:"state"`
 	Key      string     `json:"key"`
 	CacheHit bool       `json:"cache_hit"`
-	// Deduped marks a submission that was coalesced onto an identical
-	// job already queued or running (singleflight): the returned ID is
-	// that existing job's, and polling it yields the shared result.
+	// Deduped marks a submission that joined an identical job already
+	// queued or running — a client's or a sweep point's: the returned ID
+	// is that existing job's, and polling it yields the shared result.
 	Deduped  bool      `json:"deduped,omitempty"`
 	Created  time.Time `json:"created"`
 	Started  time.Time `json:"started"`

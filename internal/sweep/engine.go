@@ -19,40 +19,14 @@ type PointResult struct {
 	// Result is the point's simulation output; treat it as shared and
 	// immutable when Cached.
 	Result *sim.Result `json:"result"`
-	// Cached marks a point served from the results cache without
-	// re-simulating.
+	// Cached marks a point served without simulating it for this
+	// sweep: from the result store, or by joining a job already
+	// computing the same key.
 	Cached bool `json:"cached,omitempty"`
 	// Worker names the fleet worker that executed the point; empty for
 	// cached points and for single-node sweeps run through Engine.
 	Worker string `json:"worker,omitempty"`
 }
-
-// Cache is the result-store surface the engine dedupes through:
-// tier-agnostic Get/Put keyed by content address. The persistent
-// tiered store (internal/store, whose Get may consult disk and peers
-// under ctx) and the MemCache adapter over a bare results.Cache both
-// satisfy it.
-type Cache interface {
-	// Get returns the stored value for key; ctx bounds any remote
-	// tier lookups.
-	Get(ctx context.Context, key results.Key) (any, bool)
-	// Put stores value under key.
-	Put(key results.Key, value any)
-}
-
-// MemCache adapts a bare in-memory results.Cache to the Cache
-// interface for callers with no persistent store.
-type MemCache struct {
-	// C is the wrapped cache.
-	C *results.Cache
-}
-
-// Get looks key up in the wrapped cache; ctx is ignored (memory
-// lookups never block).
-func (m MemCache) Get(_ context.Context, key results.Key) (any, bool) { return m.C.Get(key) }
-
-// Put stores value in the wrapped cache.
-func (m MemCache) Put(key results.Key, value any) { m.C.Put(key, value) }
 
 // Engine shards a sweep across a worker pool. Pool is required; the
 // rest is optional.
@@ -61,11 +35,8 @@ type Engine struct {
 	// goroutines — never from inside a pool job, which could deadlock a
 	// full pool against itself.
 	Pool *jobs.Pool
-	// Cache, when set, dedupes points against previously computed
-	// results (by results.PointKeyFor) and stores fresh ones.
-	Cache Cache
-	// OnPoint, when set, observes every completed point — cached or
-	// simulated — in completion order, from multiple goroutines (the
+	// OnPoint, when set, observes every completed point in completion
+	// order, from multiple goroutines (the
 	// engine serializes the calls). Server progress streaming hangs off
 	// this.
 	OnPoint func(PointResult)
@@ -119,25 +90,15 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
 		mu.Unlock()
 		cancel() // abandon the rest of the grid
 	}
-	deliver := func(pr PointResult) {
+	simulated := func(t task, r *sim.Result) {
 		mu.Lock()
-		res.Points[pr.Index] = pr
+		res.Points[t.point.Index] = PointResult{Point: t.point, Result: r}
 		res.Done++
-		if pr.Cached {
-			res.Deduped++
-		}
-		cb := e.OnPoint
-		if cb != nil {
+		if e.OnPoint != nil {
 			// Serialized under mu so observers see a consistent stream.
-			cb(pr)
+			e.OnPoint(res.Points[t.point.Index])
 		}
 		mu.Unlock()
-	}
-	simulated := func(t task, r *sim.Result) {
-		if e.Cache != nil && t.key != "" {
-			e.Cache.Put(t.key, r)
-		}
-		deliver(PointResult{Point: t.point, Result: r})
 	}
 	countFront := func() {
 		mu.Lock()
@@ -159,14 +120,9 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
 		}()
 	}
 
-	var todo []task
-	for _, p := range points {
-		key, hit := e.lookup(ctx, spec, p)
-		if hit != nil {
-			deliver(PointResult{Point: p, Result: hit, Cached: true})
-			continue
-		}
-		todo = append(todo, task{point: p, key: key})
+	todo := make([]task, len(points))
+	for i, p := range points {
+		todo[i] = task{point: p}
 	}
 	for _, group := range groupByFront(todo) {
 		if len(group) == 1 {
@@ -228,11 +184,9 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
 	return res, nil
 }
 
-// task is one point the engine must simulate, with its cache key
-// (empty when the point is uncacheable).
+// task is one point the engine must simulate.
 type task struct {
 	point Point
-	key   results.Key
 }
 
 // groupByFront partitions tasks by front key (results.FrontKeyFor),
@@ -259,9 +213,9 @@ func groupByFront(tasks []task) [][]task {
 
 // CacheNames maps a point's normalized policy/partition names to the
 // form results.PointKeyFor wants: empty for the defaults, so default
-// points share cache entries with plain run jobs. The fleet
-// coordinator and the remote-worker adapter use the same mapping, so
-// one grid point has one content address everywhere in the fleet.
+// points share cache entries with plain run jobs. Point.Key applies
+// it, so one grid point has one content address everywhere in the
+// fleet.
 func CacheNames(p Point) (string, string) {
 	pol, part := p.Policy, p.Partition
 	if pol == DefaultPolicy {
@@ -273,29 +227,12 @@ func CacheNames(p Point) (string, string) {
 	return pol, part
 }
 
-// lookup computes the point's content address and consults the cache.
-// It returns the key (for the post-run Put) and a non-nil result on a
-// dedupe hit. A point whose config cannot be canonicalized sweeps
-// uncached rather than failing — Expand already rejected the
-// uncacheable base shapes, so this is belt and braces.
-func (e *Engine) lookup(ctx context.Context, spec Spec, p Point) (results.Key, *sim.Result) {
-	if e.Cache == nil {
-		return "", nil
-	}
+// Key is the point's content address in the result store and the
+// in-flight job table: its config hashed with the CacheNames-normalized
+// policy and partition.
+func (p Point) Key() (results.Key, error) {
 	pol, part := CacheNames(p)
-	key, err := results.PointKeyFor(p.Config, pol, part)
-	if err != nil {
-		return "", nil
-	}
-	if spec.NoCache {
-		return key, nil
-	}
-	if v, ok := e.Cache.Get(ctx, key); ok {
-		if r, ok := v.(*sim.Result); ok {
-			return key, r
-		}
-	}
-	return key, nil
+	return results.PointKeyFor(p.Config, pol, part)
 }
 
 // Instantiate materializes a point's runnable sim.Config: fresh
@@ -380,7 +317,7 @@ func (e *Engine) runBack(ctx context.Context, p Point, front *sim.Front) (*sim.R
 }
 
 // Run is the one-shot convenience: a transient pool sized to
-// parallelism (default NumCPU), no cache, no observer.
+// parallelism (default NumCPU), no observer.
 func Run(ctx context.Context, spec Spec, parallelism int) (*Result, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.NumCPU()

@@ -14,7 +14,6 @@ import (
 
 	"github.com/maps-sim/mapsim/internal/faults"
 	"github.com/maps-sim/mapsim/internal/jobs"
-	"github.com/maps-sim/mapsim/internal/results"
 	"github.com/maps-sim/mapsim/internal/sim"
 )
 
@@ -117,13 +116,12 @@ func TestMemoGrouping(t *testing.T) {
 	}
 }
 
-// TestMemoFrontCount checks Fronts across memoized, fused, and cached
-// points: an all-singleton sweep counts one front per point, and a
-// fully cached rerun counts none.
+// TestMemoFrontCount checks Fronts for fused points: an all-singleton
+// sweep counts one front per point.
 func TestMemoFrontCount(t *testing.T) {
 	pool := jobs.New(2, 8)
 	defer pool.Shutdown(context.Background())
-	eng := &Engine{Pool: pool, Cache: MemCache{C: results.New(64)}}
+	eng := &Engine{Pool: pool}
 	llc := Spec{Base: sim.Config{Instructions: testInstructions}, Axes: Axes{
 		Benchmarks: []string{"canneal", "mcf"}, LLC: IntAxis{Points: []int{1 << 20, 2 << 20}}}}
 	res, err := eng.Run(context.Background(), llc)
@@ -132,13 +130,6 @@ func TestMemoFrontCount(t *testing.T) {
 	}
 	if res.Fronts != 4 {
 		t.Errorf("LLC sweep: %d fronts, want 4 (one per point)", res.Fronts)
-	}
-	res, err = eng.Run(context.Background(), llc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Fronts != 0 || res.Deduped != 4 {
-		t.Errorf("cached rerun: %d fronts, %d deduped; want 0, 4", res.Fronts, res.Deduped)
 	}
 }
 

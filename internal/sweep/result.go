@@ -60,7 +60,8 @@ type Result struct {
 	// regardless of completion order.
 	Points []PointResult `json:"points"`
 	// Total, Done, and Deduped count grid size, completed points, and
-	// points served from the results cache without simulating.
+	// points served without simulating (Cached); Done − Deduped points
+	// were simulated.
 	Total   int `json:"total"`
 	Done    int `json:"done"`
 	Deduped int `json:"deduped"`

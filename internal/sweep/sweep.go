@@ -121,8 +121,8 @@ type Spec struct {
 	Base sim.Config `json:"-"`
 	// Axes declares what varies.
 	Axes Axes `json:"axes"`
-	// NoCache skips result-cache lookups; computed points are still
-	// stored for later sweeps.
+	// NoCache skips mapsd's result-store lookups and in-flight joins;
+	// computed points are still stored for later sweeps.
 	NoCache bool `json:"no_cache,omitempty"`
 }
 

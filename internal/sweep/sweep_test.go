@@ -11,7 +11,6 @@ import (
 	"github.com/maps-sim/mapsim/internal/cache/policy"
 	"github.com/maps-sim/mapsim/internal/jobs"
 	"github.com/maps-sim/mapsim/internal/metacache"
-	"github.com/maps-sim/mapsim/internal/results"
 	"github.com/maps-sim/mapsim/internal/sim"
 )
 
@@ -127,48 +126,6 @@ func TestExpandRejects(t *testing.T) {
 		if _, err := spec.Expand(); err == nil {
 			t.Errorf("%s: Expand accepted invalid spec", name)
 		}
-	}
-}
-
-func TestEngineDedupe(t *testing.T) {
-	pool := jobs.New(4, 16)
-	defer pool.Shutdown(context.Background())
-	cache := results.New(64)
-
-	spec := fig1Spec()
-	eng := &Engine{Pool: pool, Cache: MemCache{C: cache}}
-	first, err := eng.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Done != first.Total || first.Deduped != 0 {
-		t.Fatalf("first run: done %d/%d, deduped %d", first.Done, first.Total, first.Deduped)
-	}
-
-	second, err := eng.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Deduped != second.Total {
-		t.Fatalf("second run deduped %d of %d points, want all", second.Deduped, second.Total)
-	}
-	for i := range second.Points {
-		if !second.Points[i].Cached {
-			t.Fatalf("point %d not marked cached on second run", i)
-		}
-		if second.Points[i].Result != first.Points[i].Result {
-			t.Fatalf("point %d: cache returned a different result instance", i)
-		}
-	}
-
-	// NoCache skips lookups but still counts and stores.
-	spec.NoCache = true
-	third, err := eng.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third.Deduped != 0 {
-		t.Fatalf("NoCache run deduped %d points, want 0", third.Deduped)
 	}
 }
 
